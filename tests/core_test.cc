@@ -5,8 +5,10 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include "core/surf.h"
+#include "core/topk.h"
 #include "data/synthetic.h"
 #include "ml/knn.h"
 #include "ml/linear.h"
@@ -413,6 +415,135 @@ TEST(SurfTest, AggregateStatisticEndToEnd) {
     best_iou = std::max(best_iou, r.region.IoU(ds.gt_regions[0]));
   }
   EXPECT_GT(best_iou, 0.3);
+}
+
+// ------------------------------------------------------ FitDataKde pins
+//
+// Golden digests of the KDE prior FitDataKde fits: the exact sample
+// points and bandwidths, so any change to how rows are drawn or gathered
+// must keep the prior (and every swarm seeded from it) bit-identical.
+
+uint64_t MixBits(uint64_t h, double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  for (int b = 0; b < 8; ++b) {
+    h ^= (bits >> (8 * b)) & 0xFF;
+    h *= 0x100000001B3ULL;  // FNV-1a
+  }
+  return h;
+}
+
+uint64_t KdeDigest(const Kde& kde) {
+  uint64_t h = 0xCBF29CE484222325ULL;
+  for (size_t i = 0; i < kde.num_samples(); ++i) {
+    for (double v : kde.SamplePoint(i)) h = MixBits(h, v);
+  }
+  for (double h_j : kde.bandwidths()) h = MixBits(h, h_j);
+  return h;
+}
+
+Dataset PinDataset(size_t rows, uint64_t seed) {
+  Dataset data({"a", "b", "c"});
+  Rng rng(seed);
+  data.Reserve(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    data.AddRow({rng.Uniform(), rng.Gaussian(5.0, 2.0), rng.Uniform(-3, 3)});
+  }
+  return data;
+}
+
+TEST(FitDataKdeTest, SubsampledPriorIsPinned) {
+  const Dataset data = PinDataset(5000, 41);
+  const Kde kde = FitDataKde(data, {2, 0}, 300, 77);
+  ASSERT_EQ(kde.num_samples(), 300u);
+  ASSERT_EQ(kde.dims(), 2u);
+  EXPECT_EQ(KdeDigest(kde), 0xF58E714C73DF2C04ULL);
+  // Every sample is a data row projected onto the region columns.
+  for (size_t i = 0; i < kde.num_samples(); i += 37) {
+    const std::vector<double> p = kde.SamplePoint(i);
+    bool found = false;
+    for (size_t r = 0; r < data.num_rows() && !found; ++r) {
+      found = data.Get(r, 2) == p[0] && data.Get(r, 0) == p[1];
+    }
+    EXPECT_TRUE(found) << "sample " << i;
+  }
+}
+
+TEST(FitDataKdeTest, SmallDatasetKeepsEveryRowInOrder) {
+  const Dataset data = PinDataset(300, 42);
+  const Kde kde = FitDataKde(data, {1, 2}, 300, 78);
+  ASSERT_EQ(kde.num_samples(), 300u);
+  for (size_t r = 0; r < data.num_rows(); ++r) {
+    const std::vector<double> p = kde.SamplePoint(r);
+    ASSERT_EQ(p[0], data.Get(r, 1));
+    ASSERT_EQ(p[1], data.Get(r, 2));
+  }
+  EXPECT_EQ(KdeDigest(kde), 0xEF6CEBCAB7D75CD7ULL);
+}
+
+TEST(FitDataKdeTest, SubsamplesToMaxSamples) {
+  Rng rng(34);
+  Dataset data({"x"});
+  for (int i = 0; i < 5000; ++i) data.AddRow({rng.Uniform()});
+  const Kde kde = FitDataKde(data, {0}, 300, 35);
+  EXPECT_EQ(kde.num_samples(), 300u);
+  EXPECT_NEAR(kde.RegionMass(Region({0.5}, {10.0})), 1.0, 1e-9);
+}
+
+TEST(FitDataKdeTest, CancelledMidFitReturnsEmptyKde) {
+  // A deadline that passes while the rows are being drawn: the fit
+  // unwinds at its next poll and reports nothing.
+  Dataset data({"x"});
+  data.Reserve(size_t{1} << 21);
+  for (size_t r = 0; r < (size_t{1} << 21); ++r) {
+    data.AddRow({static_cast<double>(r)});
+  }
+  CancelSource source;
+  source.SetDeadline(1e-3);
+  const Kde kde = FitDataKde(data, {0}, 2000, 5, source.token());
+  EXPECT_EQ(kde.num_samples(), 0u);
+  EXPECT_EQ(kde.dims(), 0u);
+}
+
+// End-to-end pin of the answers a trained surrogate gives: the regions,
+// fitness, surrogate estimates and validated truth of a threshold query
+// (SurfFinder) and a top-k query over the same surrogate and KDE prior.
+TEST(FinderTest, MinedAnswersArePinned) {
+  const SyntheticDataset ds = DensityData(2, 2, 16);
+  SurfOptions options;
+  options.workload.num_queries = 1500;
+  options.finder.gso.num_glowworms = 80;
+  options.finder.gso.max_iterations = 40;
+  auto surf = Surf::Build(&ds.data, Statistic::Count({0, 1}), options);
+  ASSERT_TRUE(surf.ok());
+  const FindResult found =
+      surf->FindRegions(300.0, ThresholdDirection::kAbove);
+  ASSERT_FALSE(found.regions.empty());
+  uint64_t h = 0xCBF29CE484222325ULL;
+  for (const FoundRegion& r : found.regions) {
+    for (double v : r.region.ToFlat()) h = MixBits(h, v);
+    h = MixBits(h, r.fitness);
+    h = MixBits(h, r.estimate);
+    h = MixBits(h, r.true_value);
+  }
+  EXPECT_EQ(h, 0x5619368BD9170929ULL);
+
+  TopKConfig topk_config;
+  topk_config.k = 3;
+  topk_config.gso.num_glowworms = 80;
+  topk_config.gso.max_iterations = 40;
+  TopKFinder topk(surf->surrogate().AsStatisticFn(), surf->space(),
+                  topk_config);
+  topk.SetBatchEstimate(surf->surrogate().AsBatchStatisticFn());
+  const TopKResult best = topk.Find();
+  ASSERT_FALSE(best.regions.empty());
+  h = 0xCBF29CE484222325ULL;
+  for (const ScoredRegion& r : best.regions) {
+    for (double v : r.region.ToFlat()) h = MixBits(h, v);
+    h = MixBits(h, r.fitness);
+    h = MixBits(h, r.statistic);
+  }
+  EXPECT_EQ(h, 0x65C5E40023E69035ULL);
 }
 
 }  // namespace

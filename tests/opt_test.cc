@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "opt/gso.h"
@@ -322,6 +323,80 @@ TEST(GsoTest, ConvergenceFlagFires) {
   const GsoResult result = gso.Optimize(bumps.AsFitnessFn(), UnitSpace(1));
   EXPECT_TRUE(result.converged);
   EXPECT_LT(result.iterations_run, 400u);
+}
+
+// A trajectory pin: the full final swarm state of a run that takes every
+// branch of the iteration (KDE-seeded start, Eq. 8 mass re-weighting,
+// exploration restarts of isolated invalid particles) hashed to one
+// digest, so any refactor of the swarm loop must keep it bit-identical.
+
+uint64_t MixBits(uint64_t h, double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  for (int b = 0; b < 8; ++b) {
+    h ^= (bits >> (8 * b)) & 0xFF;
+    h *= 0x100000001B3ULL;  // FNV-1a
+  }
+  return h;
+}
+
+uint64_t GsoDigest(const GsoResult& r) {
+  uint64_t h = 0xCBF29CE484222325ULL;
+  for (const Region& p : r.particles) {
+    for (double v : p.ToFlat()) h = MixBits(h, v);
+  }
+  for (double v : r.fitness) h = MixBits(h, v);
+  for (bool v : r.valid) h = MixBits(h, v ? 1.0 : 0.0);
+  for (double v : r.luciferin) h = MixBits(h, v);
+  for (double v : r.history.mean_fitness) h = MixBits(h, v);
+  for (double v : r.history.mean_movement) h = MixBits(h, v);
+  for (double v : r.history.valid_fraction) h = MixBits(h, v);
+  h = MixBits(h, static_cast<double>(r.iterations_run));
+  h = MixBits(h, r.converged ? 1.0 : 0.0);
+  h = MixBits(h, static_cast<double>(r.objective_evaluations));
+  return h;
+}
+
+// Two Gaussian clusters in the unit square, fitted as the KDE prior.
+Kde TwoClusterKde() {
+  Rng rng(21);
+  std::vector<std::vector<double>> points;
+  for (int i = 0; i < 150; ++i) {
+    points.push_back({rng.Gaussian(0.25, 0.05), rng.Gaussian(0.7, 0.05)});
+    points.push_back({rng.Gaussian(0.75, 0.08), rng.Gaussian(0.3, 0.08)});
+  }
+  return Kde::Fit(points);
+}
+
+GsoResult PinnedRun(const Kde& kde, double restart_prob, bool mass_guidance) {
+  // Count-like statistic: the KDE mass of the box, scaled to 1000 rows.
+  const StatisticFn statistic = [&kde](const Region& region) {
+    return 1000.0 * kde.RegionMass(region);
+  };
+  ObjectiveConfig config;
+  config.threshold = 120.0;
+  const RegionObjective objective(statistic, config);
+  GsoParams params;
+  params.num_glowworms = 60;
+  params.max_iterations = 40;
+  params.seed = 11;
+  params.kde_seeded_fraction = 0.3;
+  params.kde_mass_guidance = mass_guidance;
+  params.exploration_restart_prob = restart_prob;
+  const GlowwormSwarmOptimizer gso(params);
+  return gso.Optimize(objective.AsBatchFitnessFn(), UnitSpace(2), &kde);
+}
+
+TEST(GsoTest, TrajectoryDigestIsPinned) {
+  const Kde kde = TwoClusterKde();
+  const GsoResult result = PinnedRun(kde, 0.3, true);
+  EXPECT_EQ(result.objective_evaluations,
+            (result.iterations_run + 1) * 60u);
+  EXPECT_EQ(GsoDigest(result), 0x9CE53108A40CE48AULL);
+  // The pinned run really takes the restart and Eq. 8 branches: turning
+  // either off changes the trajectory.
+  EXPECT_NE(GsoDigest(PinnedRun(kde, 0.0, true)), GsoDigest(result));
+  EXPECT_NE(GsoDigest(PinnedRun(kde, 0.3, false)), GsoDigest(result));
 }
 
 // ---------------------------------------------------------------- PSO
