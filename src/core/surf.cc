@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
+#include <numeric>
 
 #include "stats/grid_index.h"
 #include "stats/kd_tree.h"
@@ -45,22 +47,65 @@ std::unique_ptr<RegionEvaluator> MakeEvaluator(BackendKind kind,
       ShardedDataset::Partition(*data, options), statistic);
 }
 
+namespace {
+
+/// Gathers the first `k` rows of a backward Fisher–Yates permutation of
+/// the row indices (the permutation Rng::Shuffle draws) straight from the
+/// region columns into a flat row-major buffer. Only the row index is
+/// O(rows); `cancel` is polled every 64K swaps. False when cancelled.
+template <typename Index>
+bool GatherShuffledRows(const Dataset& data,
+                        const std::vector<size_t>& region_cols, size_t k,
+                        Rng* rng, const CancelToken& cancel,
+                        std::vector<double>* flat) {
+  const size_t n = data.num_rows();
+  std::vector<Index> idx(n);
+  std::iota(idx.begin(), idx.end(), Index{0});
+  for (size_t i = n; i > 1; --i) {
+    if (((n - i) & 0xFFFF) == 0 && cancel.cancelled()) return false;
+    std::swap(idx[i - 1], idx[rng->UniformInt(i)]);
+  }
+  const size_t d = region_cols.size();
+  flat->resize(k * d);
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t j = 0; j < d; ++j) {
+      (*flat)[i * d + j] = data.Get(idx[i], region_cols[j]);
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 Kde FitDataKde(const Dataset& data, const std::vector<size_t>& region_cols,
                size_t max_samples, uint64_t seed, CancelToken cancel) {
   if (cancel.cancelled()) return Kde();
-  Rng rng(seed);
-  std::vector<std::vector<double>> points;
-  points.reserve(data.num_rows());
-  std::vector<double> p(region_cols.size());
-  for (size_t r = 0; r < data.num_rows(); ++r) {
-    if ((r & 0xFFFF) == 0 && cancel.cancelled()) return Kde();
-    for (size_t j = 0; j < region_cols.size(); ++j) {
-      p[j] = data.Get(r, region_cols[j]);
+  const size_t n = data.num_rows();
+  const size_t d = region_cols.size();
+  std::vector<double> flat;
+  if (n <= max_samples) {
+    // Every row, in order: no draw.
+    flat.resize(n * d);
+    for (size_t r = 0; r < n; ++r) {
+      if ((r & 0xFFFF) == 0 && cancel.cancelled()) return Kde();
+      for (size_t j = 0; j < d; ++j) {
+        flat[r * d + j] = data.Get(r, region_cols[j]);
+      }
     }
-    points.push_back(p);
+  } else {
+    Rng rng(seed);
+    // A 32-bit row index halves the shuffle's memory traffic; both index
+    // types draw the same permutation.
+    const bool gathered =
+        n <= std::numeric_limits<uint32_t>::max()
+            ? GatherShuffledRows<uint32_t>(data, region_cols, max_samples,
+                                           &rng, cancel, &flat)
+            : GatherShuffledRows<size_t>(data, region_cols, max_samples,
+                                         &rng, cancel, &flat);
+    if (!gathered) return Kde();
   }
   if (cancel.cancelled()) return Kde();
-  return Kde::FitSampled(points, max_samples, &rng);
+  return Kde::FitFlat(std::move(flat), d);
 }
 
 StatusOr<Surf> Surf::Build(const Dataset* data, Statistic statistic,

@@ -47,25 +47,6 @@ Kde Kde::Fit(const std::vector<std::vector<double>>& points) {
   return FitFlat(std::move(flat), d);
 }
 
-Kde Kde::FitSampled(const std::vector<std::vector<double>>& points,
-                    size_t max_samples, Rng* rng) {
-  if (points.size() <= max_samples) return Fit(points);
-  std::vector<size_t> idx(points.size());
-  for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  rng->Shuffle(&idx);
-  // Gather the selected rows straight into the flat buffer.
-  assert(!points.empty());
-  const size_t d = points[0].size();
-  std::vector<double> flat;
-  flat.reserve(max_samples * d);
-  for (size_t i = 0; i < max_samples; ++i) {
-    const auto& p = points[idx[i]];
-    assert(p.size() == d);
-    flat.insert(flat.end(), p.begin(), p.end());
-  }
-  return FitFlat(std::move(flat), d);
-}
-
 double Kde::Density(const std::vector<double>& point) const {
   const size_t d = dims();
   assert(point.size() == d);

@@ -25,11 +25,9 @@ class Kde {
   /// h_j = σ_j · n^{-1/(d+4)} with a small floor for degenerate columns.
   static Kde Fit(const std::vector<std::vector<double>>& points);
 
-  /// Fits on a subsample of at most `max_samples` points, gathered
-  /// straight into the flat sample buffer (no intermediate nested-vector
-  /// copy of the subsample).
-  static Kde FitSampled(const std::vector<std::vector<double>>& points,
-                        size_t max_samples, Rng* rng);
+  /// Fits on an already-flattened row-major buffer (n × dims, n > 0),
+  /// taking ownership of it as the sample store.
+  static Kde FitFlat(std::vector<double> flat, size_t dims);
 
   /// Density estimate p(a) at a point.
   double Density(const std::vector<double>& point) const;
@@ -54,9 +52,6 @@ class Kde {
   std::vector<double> DrawPoint(Rng* rng) const;
 
  private:
-  /// Shared fitting core over an already-flattened row-major buffer.
-  static Kde FitFlat(std::vector<double> flat, size_t dims);
-
   std::vector<double> points_;  // flattened row-major samples
   std::vector<double> bandwidths_;
 };

@@ -88,6 +88,7 @@ GsoResult GlowwormSwarmOptimizer::Optimize(const BatchFitnessFn& fitness,
   std::vector<double> radius(L, r0);
   result.fitness.assign(L, 0.0);
   result.valid.assign(L, false);
+  result.statistic.assign(L, std::numeric_limits<double>::quiet_NaN());
 
   // Cached KDE region mass per particle, refreshed after each move. Only
   // maintained when Eq. 8 guidance is on — the per-particle RegionMass
@@ -101,8 +102,63 @@ GsoResult GlowwormSwarmOptimizer::Optimize(const BatchFitnessFn& fitness,
   };
   for (size_t i = 0; i < L; ++i) refresh_mass(i);
 
+  // Per-search scratch, allocated once so iterations allocate nothing:
+  //  - `next`: the move phase's new positions. Only the rows of particles
+  //    that move are written (flagged in `moved`) and then swapped in.
+  //  - `coords`: a flat copy of every particle, (c_0, l_0, c_1, l_1, …)
+  //    per row, for the O(L²) neighbour scan.
+  //  - `stale`: particles whose region changed since their last score.
+  //  - `batch`/`batch_idx`: the stale particles handed to one fitness call.
+  const size_t dims = space.dims();
+  const size_t stride = 2 * dims;
+  std::vector<Region> next = result.particles;
+  std::vector<char> moved(L, 0);
+  std::vector<char> stale(L, 1);
+  std::vector<double> coords(L * stride);
+  auto store_coords = [&](size_t i) {
+    double* row = &coords[i * stride];
+    for (size_t k = 0; k < dims; ++k) {
+      row[2 * k] = result.particles[i].center(k);
+      row[2 * k + 1] = result.particles[i].half_length(k);
+    }
+  };
+  for (size_t i = 0; i < L; ++i) store_coords(i);
+  std::vector<Region> batch;
+  std::vector<size_t> batch_idx;
+  batch.reserve(L);
+  batch_idx.reserve(L);
   std::vector<size_t> neighbors;
   std::vector<double> weights;
+  neighbors.reserve(L);
+  weights.reserve(L);
+
+  // Scores the stale particles with one fitness call, in ascending index
+  // order; the others keep the value their unchanged region already
+  // earned. The particles are lent to the batch by move (no copy) and
+  // moved back. The cost model still counts the whole swarm.
+  auto score_stale = [&] {
+    batch.clear();
+    batch_idx.clear();
+    for (size_t i = 0; i < L; ++i) {
+      if (!stale[i]) continue;
+      batch.push_back(std::move(result.particles[i]));
+      batch_idx.push_back(i);
+    }
+    if (!batch.empty()) {
+      const std::vector<FitnessValue> evals = fitness(batch);
+      assert(evals.size() == batch.size());
+      for (size_t k = 0; k < batch.size(); ++k) {
+        const size_t i = batch_idx[k];
+        result.particles[i] = std::move(batch[k]);
+        result.fitness[i] = evals[k].value;
+        result.valid[i] = evals[k].valid;
+        result.statistic[i] = evals[k].statistic;
+        stale[i] = 0;
+      }
+    }
+    result.objective_evaluations += L;
+  };
+
   size_t quiet_iters = 0;
   if (progress != nullptr) {
     progress->max_iterations.store(params_.max_iterations,
@@ -148,15 +204,11 @@ GsoResult GlowwormSwarmOptimizer::Optimize(const BatchFitnessFn& fitness,
     double fitness_sum = 0.0;
     size_t valid_count = 0;
     double worst_valid = std::numeric_limits<double>::infinity();
-    const std::vector<FitnessValue> evals = fitness(result.particles);
-    result.objective_evaluations += L;
+    score_stale();
     for (size_t i = 0; i < L; ++i) {
-      const FitnessValue& fv = evals[i];
-      result.fitness[i] = fv.value;
-      result.valid[i] = fv.valid;
-      if (fv.valid) {
-        worst_valid = std::min(worst_valid, fv.value);
-        fitness_sum += fv.value;
+      if (result.valid[i]) {
+        worst_valid = std::min(worst_valid, result.fitness[i]);
+        fitness_sum += result.fitness[i];
         ++valid_count;
       }
     }
@@ -179,15 +231,21 @@ GsoResult GlowwormSwarmOptimizer::Optimize(const BatchFitnessFn& fitness,
 
     // Phase 2 — probabilistic movement toward brighter neighbours.
     double movement_sum = 0.0;
-    std::vector<Region> next = result.particles;
     for (size_t i = 0; i < L; ++i) {
       neighbors.clear();
       weights.clear();
+      const double* self_row = &coords[i * stride];
       for (size_t j = 0; j < L; ++j) {
         if (j == i || luciferin[j] <= luciferin[i]) continue;
-        const double dist =
-            result.particles[i].FlatDistance(result.particles[j]);
-        if (dist <= radius[i]) {
+        // Region::FlatDistance's exact arithmetic, over the flat copy.
+        const double* other_row = &coords[j * stride];
+        double s = 0.0;
+        for (size_t k = 0; k < dims; ++k) {
+          const double dc = self_row[2 * k] - other_row[2 * k];
+          const double dl = self_row[2 * k + 1] - other_row[2 * k + 1];
+          s += dc * dc + dl * dl;
+        }
+        if (std::sqrt(s) <= radius[i]) {
           neighbors.push_back(j);
           double w = luciferin[j] - luciferin[i];  // Eq. 7 numerator
           if (kde_guided) w *= kde_mass[j];  // Eq. 8 re-weighting
@@ -207,6 +265,7 @@ GsoResult GlowwormSwarmOptimizer::Optimize(const BatchFitnessFn& fitness,
         if (!result.valid[i] && params_.exploration_restart_prob > 0.0 &&
             rng.Bernoulli(params_.exploration_restart_prob)) {
           next[i] = space.Sample(&rng);
+          moved[i] = 1;
           movement_sum += result.particles[i].FlatDistance(next[i]);
         }
         continue;
@@ -220,21 +279,25 @@ GsoResult GlowwormSwarmOptimizer::Optimize(const BatchFitnessFn& fitness,
       const double dist = self.FlatDistance(target);
       if (dist <= 1e-12) continue;
       const double scale = std::min(1.0, step / dist);
-      Region moved = self;
-      for (size_t k = 0; k < space.dims(); ++k) {
-        moved.set_center(
+      Region& to = next[i];
+      for (size_t k = 0; k < dims; ++k) {
+        to.set_center(
             k, self.center(k) + scale * (target.center(k) - self.center(k)));
-        moved.set_half_length(
+        to.set_half_length(
             k, self.half_length(k) +
                    scale * (target.half_length(k) - self.half_length(k)));
       }
-      space.Clamp(&moved);
-      movement_sum += self.FlatDistance(moved);
-      next[i] = std::move(moved);
+      space.Clamp(&to);
+      movement_sum += self.FlatDistance(to);
+      moved[i] = 1;
     }
     for (size_t i = 0; i < L; ++i) {
+      if (!moved[i]) continue;
+      moved[i] = 0;
       if (!(next[i] == result.particles[i])) {
-        result.particles[i] = std::move(next[i]);
+        std::swap(result.particles[i], next[i]);
+        stale[i] = 1;
+        store_coords(i);
         refresh_mass(i);
       }
     }
@@ -263,12 +326,7 @@ GsoResult GlowwormSwarmOptimizer::Optimize(const BatchFitnessFn& fitness,
   close_iters_span(result.iterations_run);
 
   // Final fitness refresh so reported values match final positions.
-  const std::vector<FitnessValue> final_evals = fitness(result.particles);
-  result.objective_evaluations += L;
-  for (size_t i = 0; i < L; ++i) {
-    result.fitness[i] = final_evals[i].value;
-    result.valid[i] = final_evals[i].valid;
-  }
+  score_stale();
   result.luciferin = std::move(luciferin);
   return result;
 }

@@ -86,6 +86,9 @@ struct GsoResult {
   std::vector<Region> particles;
   std::vector<double> fitness;
   std::vector<bool> valid;
+  /// Raw statistic behind each particle's fitness (FitnessValue::statistic
+  /// of its last score), so extraction needs no second statistic pass.
+  std::vector<double> statistic;
   /// Luciferin levels at termination.
   std::vector<double> luciferin;
   size_t iterations_run = 0;
@@ -94,7 +97,10 @@ struct GsoResult {
   /// True when a CancelToken stopped the swarm early. The partial swarm
   /// (positions, fitness, validity) is still fully populated and usable.
   bool cancelled = false;
-  /// Total objective evaluations (T · L per the paper's cost model).
+  /// Total objective evaluations (T · L per the paper's cost model, plus
+  /// L for the final refresh). The swarm rescores only particles that
+  /// moved, so the fitness source may see fewer; the count stays the
+  /// paper's.
   uint64_t objective_evaluations = 0;
   GsoHistory history;
 
@@ -132,9 +138,12 @@ class GlowwormSwarmOptimizer {
                      SearchProgress* progress = nullptr,
                      TraceContext* trace = nullptr) const;
 
-  /// Batched variant: the whole swarm is scored with one `fitness` call
-  /// per iteration (one surrogate PredictBatch instead of L tree walks).
-  /// Identical trajectory to the scalar overload for the same seed.
+  /// Batched variant: the swarm is scored with one `fitness` call per
+  /// iteration (one surrogate PredictBatch instead of L tree walks). Only
+  /// particles whose region changed since their last score are passed,
+  /// in ascending index order; the rest keep their cached value, so
+  /// `fitness` must be a pure function of the region. Identical
+  /// trajectory to the scalar overload for the same seed.
   GsoResult Optimize(const BatchFitnessFn& fitness,
                      const RegionSolutionSpace& space,
                      const Kde* kde = nullptr, CancelToken cancel = {},

@@ -46,16 +46,32 @@ Status MiningService::RegisterDataset(const std::string& name, Dataset data) {
   if (data.num_rows() == 0) {
     return Status::InvalidArgument("empty dataset '" + name + "'");
   }
-  NamedDataset named;
-  named.fingerprint = FingerprintDataset(data);
-  named.data = std::make_unique<Dataset>(std::move(data));
+  const uint64_t fingerprint = FingerprintDataset(data);
   std::lock_guard<std::mutex> lock(datasets_mu_);
-  auto [it, inserted] = datasets_.emplace(name, std::move(named));
-  (void)it;
+  auto [it, inserted] = datasets_.try_emplace(name);
   if (!inserted) {
     return Status::AlreadyExists("dataset '" + name + "' already registered");
   }
+  it->second.fingerprint = fingerprint;
+  it->second.data = std::make_unique<Dataset>(std::move(data));
   return Status::OK();
+}
+
+Bounds MiningService::NamedDataset::DomainBounds(
+    const std::vector<size_t>& cols) const {
+  std::lock_guard<std::mutex> lock(bounds_mu_);
+  auto it = bounds_.find(cols);
+  if (it == bounds_.end()) {
+    it = bounds_.emplace(cols, data->ComputeBounds(cols)).first;
+  }
+  return it->second;
+}
+
+const MiningService::NamedDataset* MiningService::named_dataset(
+    const std::string& name) const {
+  std::lock_guard<std::mutex> lock(datasets_mu_);
+  auto it = datasets_.find(name);
+  return it == datasets_.end() ? nullptr : &it->second;
 }
 
 Status MiningService::RegisterCsvDataset(const std::string& name,
@@ -66,15 +82,13 @@ Status MiningService::RegisterCsvDataset(const std::string& name,
 }
 
 const Dataset* MiningService::dataset(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(datasets_mu_);
-  auto it = datasets_.find(name);
-  return it == datasets_.end() ? nullptr : it->second.data.get();
+  const NamedDataset* named = named_dataset(name);
+  return named == nullptr ? nullptr : named->data.get();
 }
 
 uint64_t MiningService::dataset_fingerprint(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(datasets_mu_);
-  auto it = datasets_.find(name);
-  return it == datasets_.end() ? 0 : it->second.fingerprint;
+  const NamedDataset* named = named_dataset(name);
+  return named == nullptr ? 0 : named->fingerprint;
 }
 
 std::vector<std::string> MiningService::dataset_names() const {
@@ -87,12 +101,7 @@ std::vector<std::string> MiningService::dataset_names() const {
 
 StatusOr<const MiningService::NamedDataset*> MiningService::ResolveRequest(
     const MineRequest& request) const {
-  const NamedDataset* named = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(datasets_mu_);
-    auto it = datasets_.find(request.dataset);
-    if (it != datasets_.end()) named = &it->second;
-  }
+  const NamedDataset* named = named_dataset(request.dataset);
   if (named == nullptr) {
     return Status::NotFound("dataset '" + request.dataset +
                             "' not registered");
@@ -128,9 +137,10 @@ StatusOr<SurrogateKey> MiningService::KeyFor(
 }
 
 StatusOr<TrainedSurrogate> MiningService::TrainEntry(
-    const MineRequest& request, const Dataset* data, CancelToken cancel,
+    const MineRequest& request, const NamedDataset& named, CancelToken cancel,
     TraceContext* trace) {
   SURF_FAILPOINT("serve.train");
+  const Dataset* data = named.data.get();
   std::shared_ptr<const RegionEvaluator> evaluator;
   if (request.cluster) {
     // Cluster mode swaps only the exact back-end: labelling and
@@ -142,7 +152,7 @@ StatusOr<TrainedSurrogate> MiningService::TrainEntry(
     }
     dist::ClusterEvaluator::Options cluster_options;
     cluster_options.dataset = request.dataset;
-    cluster_options.fingerprint = dataset_fingerprint(request.dataset);
+    cluster_options.fingerprint = named.fingerprint;
     cluster_options.num_shards = request.shards >= 2 ? request.shards : 0;
     evaluator = std::make_shared<const dist::ClusterEvaluator>(
         cluster_pool_.get(), request.statistic, std::move(cluster_options));
@@ -150,7 +160,7 @@ StatusOr<TrainedSurrogate> MiningService::TrainEntry(
     evaluator = MakeEvaluator(request.backend, data, request.statistic,
                               request.shards);
   }
-  const Bounds domain = data->ComputeBounds(request.statistic.region_cols);
+  const Bounds domain = named.DomainBounds(request.statistic.region_cols);
   const RegionWorkload workload =
       GenerateWorkload(*evaluator, domain, request.workload, cancel, trace);
   if (cancel.cancelled()) return cancel.ToStatus();
@@ -173,9 +183,10 @@ StatusOr<TrainedSurrogate> MiningService::TrainEntry(
   trained.surrogate = std::move(surrogate).value();
   trained.evaluator = std::move(evaluator);
 
-  // The KDE prior is always fitted with the entry (cheap — a bounded
-  // subsample) so every later request can opt into Eq. 8 guidance
-  // regardless of what the entry-creating request asked for.
+  // The KDE prior is always fitted with the entry so every later request
+  // can opt into Eq. 8 guidance regardless of what the entry-creating
+  // request asked for. It costs one O(rows) shuffle of a 32-bit row
+  // index plus an O(kde_max_samples · d) gather and fit.
   trained.kde = [&] {
     TraceSpan span(trace, "kde_fit", TraceStage::kTraining);
     return std::make_shared<const Kde>(FitDataKde(
@@ -199,7 +210,7 @@ StatusOr<std::shared_ptr<CachedSurrogate>> MiningService::EntryFor(
     TraceContext* trace) {
   auto key = KeyFor(request);
   if (!key.ok()) return key.status();
-  const Dataset* data = dataset(request.dataset);
+  const NamedDataset* named = named_dataset(request.dataset);
   return cache_.GetOrTrain(
       *key,
       [&]() -> StatusOr<TrainedSurrogate> {
@@ -211,7 +222,7 @@ StatusOr<std::shared_ptr<CachedSurrogate>> MiningService::EntryFor(
         const Status status = RunWithRetry(
             options_.training_retry,
             [&] {
-              trained = TrainEntry(request, data, cancel, trace);
+              trained = TrainEntry(request, *named, cancel, trace);
               return trained.status();
             },
             cancel);

@@ -6,6 +6,7 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -246,12 +247,25 @@ class MiningService {
   const TraceRing& traces() const { return traces_; }
 
  private:
-  /// A registered dataset plus its content fingerprint, computed once at
-  /// registration (datasets are immutable after RegisterDataset).
+  /// A registered dataset plus what is derived from its rows: the content
+  /// fingerprint, computed once at registration, and the domain bounds
+  /// of each region-column set, computed on first use. Datasets are
+  /// immutable after RegisterDataset, so neither goes stale.
   struct NamedDataset {
     std::unique_ptr<Dataset> data;
     uint64_t fingerprint = 0;
+
+    /// Bounding box of `cols`: one O(rows) scan per column set over the
+    /// dataset's lifetime instead of one per training.
+    Bounds DomainBounds(const std::vector<size_t>& cols) const;
+
+   private:
+    mutable std::mutex bounds_mu_;
+    mutable std::map<std::vector<size_t>, Bounds> bounds_;
   };
+
+  /// The registry entry for `name`, or null (stable address).
+  const NamedDataset* named_dataset(const std::string& name) const;
 
   /// Validates the request against the dataset; returns the registry
   /// entry (stable address).
@@ -263,7 +277,7 @@ class MiningService {
   /// fitting, and GBRT boosting rounds; `trace` (nullable) records
   /// workload_gen/labelling/training spans.
   StatusOr<TrainedSurrogate> TrainEntry(const MineRequest& request,
-                                        const Dataset* data,
+                                        const NamedDataset& named,
                                         CancelToken cancel,
                                         TraceContext* trace);
 

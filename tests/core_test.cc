@@ -481,15 +481,6 @@ TEST(FitDataKdeTest, SmallDatasetKeepsEveryRowInOrder) {
   EXPECT_EQ(KdeDigest(kde), 0xEF6CEBCAB7D75CD7ULL);
 }
 
-TEST(FitDataKdeTest, SubsamplesToMaxSamples) {
-  Rng rng(34);
-  Dataset data({"x"});
-  for (int i = 0; i < 5000; ++i) data.AddRow({rng.Uniform()});
-  const Kde kde = FitDataKde(data, {0}, 300, 35);
-  EXPECT_EQ(kde.num_samples(), 300u);
-  EXPECT_NEAR(kde.RegionMass(Region({0.5}, {10.0})), 1.0, 1e-9);
-}
-
 TEST(FitDataKdeTest, CancelledMidFitReturnsEmptyKde) {
   // A deadline that passes while the rows are being drawn: the fit
   // unwinds at its next poll and reports nothing.

@@ -441,8 +441,7 @@ TEST(ObjectiveBatchTest, EvaluateManyMatchesEvaluate) {
   std::vector<Region> regions;
   for (int i = 0; i < 200; ++i) regions.push_back(space.Sample(&rng));
 
-  std::vector<double> stats;
-  const auto scalar_evals = scalar.EvaluateMany(regions, &stats);
+  const auto scalar_evals = scalar.EvaluateMany(regions);
   const auto batch_evals = batched.EvaluateMany(regions);
   for (size_t i = 0; i < regions.size(); ++i) {
     const FitnessValue direct = scalar.Evaluate(regions[i]);
@@ -450,7 +449,8 @@ TEST(ObjectiveBatchTest, EvaluateManyMatchesEvaluate) {
     EXPECT_DOUBLE_EQ(scalar_evals[i].value, direct.value);
     EXPECT_EQ(batch_evals[i].valid, direct.valid);
     EXPECT_DOUBLE_EQ(batch_evals[i].value, direct.value);
-    EXPECT_DOUBLE_EQ(stats[i], statistic(regions[i]));
+    EXPECT_DOUBLE_EQ(scalar_evals[i].statistic, statistic(regions[i]));
+    EXPECT_DOUBLE_EQ(batch_evals[i].statistic, statistic(regions[i]));
   }
 }
 

@@ -9,6 +9,7 @@
 #include <set>
 #include <sstream>
 
+#include "core/surf.h"
 #include "ml/binning.h"
 #include "ml/cv.h"
 #include "ml/gbrt.h"
@@ -632,12 +633,11 @@ TEST(KdeTest, RegionMassTracksPointFraction) {
   EXPECT_NEAR(kde.RegionMass(Region({0.25}, {0.25})), 0.5, 0.06);
 }
 
-TEST(KdeTest, FitSampledSubsamples) {
+TEST(KdeTest, FitDataKdeSubsamples) {
   Rng rng(34);
-  std::vector<std::vector<double>> points;
-  for (int i = 0; i < 5000; ++i) points.push_back({rng.Uniform()});
-  Rng sample_rng(35);
-  const Kde kde = Kde::FitSampled(points, 300, &sample_rng);
+  Dataset data({"x"});
+  for (int i = 0; i < 5000; ++i) data.AddRow({rng.Uniform()});
+  const Kde kde = FitDataKde(data, {0}, 300, 35);
   EXPECT_EQ(kde.num_samples(), 300u);
   EXPECT_NEAR(kde.RegionMass(Region({0.5}, {10.0})), 1.0, 1e-9);
 }

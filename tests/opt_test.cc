@@ -399,6 +399,54 @@ TEST(GsoTest, TrajectoryDigestIsPinned) {
   EXPECT_NE(GsoDigest(PinnedRun(kde, 0.3, false)), GsoDigest(result));
 }
 
+TEST(GsoTest, RescoresOnlyParticlesThatMoved) {
+  // Contract of incremental scoring: the batched fitness never sees a
+  // particle whose region is unchanged since its last score, yet the
+  // reported fitness, validity and statistic are those of every final
+  // position and the cost model still counts T·L (+ L). The step is
+  // tiny next to the spread of a uniform start, so no two particles
+  // can coincide and a repeated region can only be a rescored one.
+  const StatisticFn statistic = [](const Region& region) {
+    const double dc = region.center(0) - 0.3;
+    const double dl = region.half_length(0) - 0.15;
+    return std::exp(-(dc * dc + dl * dl) / 0.02);
+  };
+  ObjectiveConfig config;
+  config.threshold = 0.2;
+  const RegionObjective objective(statistic, config);
+
+  std::set<std::vector<double>> scored;
+  size_t calls = 0, rows = 0, repeats = 0;
+  const BatchFitnessFn counting = [&](const std::vector<Region>& regions) {
+    ++calls;
+    rows += regions.size();
+    for (const Region& region : regions) {
+      if (!scored.insert(region.ToFlat()).second) ++repeats;
+    }
+    return objective.EvaluateMany(regions);
+  };
+
+  GsoParams params;
+  params.num_glowworms = 50;
+  params.max_iterations = 25;
+  params.step_frac = 1e-4;
+  params.convergence_tol_frac = 0.0;
+  params.seed = 12;
+  const GsoResult result =
+      GlowwormSwarmOptimizer(params).Optimize(counting, UnitSpace(1));
+
+  EXPECT_EQ(repeats, 0u);
+  EXPECT_EQ(result.objective_evaluations, 25u * 50u + 50u);
+  EXPECT_LE(calls, 26u);
+  EXPECT_LT(rows, 26u * 50u);  // some particles stood still
+  for (size_t i = 0; i < result.particles.size(); ++i) {
+    const FitnessValue fresh = objective.Evaluate(result.particles[i]);
+    EXPECT_EQ(result.valid[i], fresh.valid);
+    EXPECT_EQ(result.fitness[i], fresh.value);
+    EXPECT_EQ(result.statistic[i], statistic(result.particles[i]));
+  }
+}
+
 // ---------------------------------------------------------------- PSO
 
 TEST(PsoTest, FindsSingleOptimum) {
