@@ -132,12 +132,25 @@ double Surrogate::Predict(const Region& region) const {
 
 namespace {
 
+/// Largest batch PredictRegions fills into its per-thread feature buffer
+/// (a swarm is at most a few hundred particles); larger batches get a
+/// matrix of their own, so no thread keeps a dataset-sized buffer.
+constexpr size_t kMaxReusedFeatureRows = 1024;
+
 /// Shared batched-evaluation kernel: one feature-matrix fill, one
 /// blocked PredictBatch.
 std::vector<double> PredictRegions(const Regressor& model,
                                    const std::vector<Region>& regions) {
   if (regions.empty()) return {};
-  FeatureMatrix features(2 * regions[0].dims());
+  // A swarm rescores a different number of moved particles each
+  // iteration. Fresh feature columns of each size would be parked in the
+  // thread's malloc cache size by size, growing every serving thread's
+  // heap, so swarm-sized batches reuse one buffer per thread.
+  thread_local FeatureMatrix reused;
+  FeatureMatrix own;
+  FeatureMatrix& features =
+      regions.size() <= kMaxReusedFeatureRows ? reused : own;
+  features.Reset(2 * regions[0].dims());
   features.Reserve(regions.size());
   for (const Region& region : regions) {
     features.AddRow(RegionFeatures(region));

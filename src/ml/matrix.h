@@ -27,6 +27,14 @@ class FeatureMatrix {
     ++num_rows_;
   }
 
+  /// Empties the matrix and sets its width, keeping the columns'
+  /// capacity when the width is unchanged (for reusable buffers).
+  void Reset(size_t num_features) {
+    if (num_features != cols_.size()) cols_.assign(num_features, {});
+    for (auto& c : cols_) c.clear();
+    num_rows_ = 0;
+  }
+
   void Reserve(size_t rows) {
     for (auto& c : cols_) c.reserve(rows);
   }
