@@ -192,8 +192,10 @@ struct HttpBenchReport {
   bool priority_clean = false;
 };
 
-/// The pre-event-loop thread-per-connection transport measured ~193 qps
-/// at 361ms p99 on this recipe (committed BENCH_http.json baseline).
+/// The thread-per-connection transport that preceded the event loop
+/// measured ~193 qps at 361ms p99 on this recipe, in a run of this bench
+/// made before the event loop replaced it. That run's BENCH_http.json
+/// was never committed, so these constants are the only record of it.
 /// The event-loop + coalescing transport must at least double the
 /// throughput without giving back latency.
 constexpr double kBaselineQps = 193.0;

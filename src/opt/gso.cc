@@ -102,7 +102,8 @@ GsoResult GlowwormSwarmOptimizer::Optimize(const BatchFitnessFn& fitness,
   };
   for (size_t i = 0; i < L; ++i) refresh_mass(i);
 
-  // Per-search scratch, allocated once so iterations allocate nothing:
+  // Per-search scratch, allocated once so that the swarm's own
+  // bookkeeping allocates nothing per iteration:
   //  - `next`: the move phase's new positions. Only the rows of particles
   //    that move are written (flagged in `moved`) and then swapped in.
   //  - `coords`: a flat copy of every particle, (c_0, l_0, c_1, l_1, …)
