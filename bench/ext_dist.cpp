@@ -47,6 +47,7 @@
 #include "util/cli.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 using namespace surf;
 
@@ -179,7 +180,7 @@ int main(int argc, char** argv) {
     options.order_by = 0;
     options.columns = {0, 1};
     ShardedScanEvaluator single(ShardedDataset::Partition(ds, options),
-                                stat, /*num_threads=*/1);
+                                stat);
     Stopwatch timer;
     single_targets = GenerateWorkload(single, domain, params).targets;
     single_seconds = timer.ElapsedSeconds();
@@ -195,6 +196,8 @@ int main(int argc, char** argv) {
   };
   std::vector<Arm> arms;
   std::vector<std::unique_ptr<dist::WorkerPool>> pools;
+  // The shard groups' RPCs overlap on this pool, one thread per worker.
+  ThreadPool scatter(2);
   for (size_t fleet : {size_t{1}, size_t{2}}) {
     std::vector<std::string> endpoints;
     for (size_t i = 0; i < fleet; ++i) {
@@ -205,7 +208,8 @@ int main(int argc, char** argv) {
     options.dataset = "bench";
     options.fingerprint = fingerprint;
     options.num_shards = num_shards;
-    dist::ClusterEvaluator cluster(pools.back().get(), stat, options);
+    dist::ClusterEvaluator cluster(pools.back().get(), stat, options,
+                                   &scatter);
 
     // Warm the worker-side partition caches so arm timing measures
     // labelling, not one-time partition builds (identical across arms).
@@ -251,7 +255,8 @@ int main(int argc, char** argv) {
     options.dataset = "bench";
     options.fingerprint = fingerprint;
     options.num_shards = num_shards;
-    dist::ClusterEvaluator cluster(pools[1].get(), stat, options);
+    dist::ClusterEvaluator cluster(pools[1].get(), stat, options,
+                                   &scatter);
     Stopwatch timer;
     const std::vector<double> targets =
         GenerateWorkload(cluster, domain, params).targets;

@@ -23,6 +23,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,7 @@
 #include "util/cli.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 using namespace surf;
 
@@ -85,7 +87,14 @@ int main(int argc, char** argv) {
   const size_t rows =
       static_cast<size_t>(flags.GetInt("rows", 4000000));
   const size_t queries = static_cast<size_t>(flags.GetInt("queries", 64));
+  // --threads sizes the pool the shard scans borrow (0 = hardware
+  // concurrency); 1 scans inline on the calling thread.
   const size_t threads = static_cast<size_t>(flags.GetInt("threads", 0));
+  std::unique_ptr<ThreadPool> pool;
+  if (threads != 1) {
+    pool = std::make_unique<ThreadPool>(
+        threads == 0 ? ThreadPool::DefaultThreadCount() : threads);
+  }
 
   std::printf("== sharded exact-backend scaling (%zu rows, %zu queries) ==\n",
               rows, queries);
@@ -162,7 +171,7 @@ int main(int argc, char** argv) {
       ScanEvaluator scan(&ds, stat);
       ShardingOptions options;  // num_shards = 1, natural order
       ShardedScanEvaluator sharded(ShardedDataset::Partition(ds, options),
-                                   stat, threads);
+                                   stat, pool.get());
       const auto want = GenerateWorkload(scan, domain, small).targets;
       const auto got = GenerateWorkload(sharded, domain, small).targets;
       if (!BitIdentical(want, got)) {
@@ -184,7 +193,7 @@ int main(int argc, char** argv) {
     options.order_by = 0;
     options.columns = {0, 1};
     ShardedScanEvaluator sharded(ShardedDataset::Partition(ds, options),
-                                 count_stat, threads);
+                                 count_stat, pool.get());
     Stopwatch timer;
     const auto targets = GenerateWorkload(sharded, domain, params).targets;
     ShardArm arm;

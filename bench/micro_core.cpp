@@ -7,8 +7,9 @@
 // report: the reworked engine (contiguous bins, sibling histogram
 // subtraction, leaf-range boosting updates, blocked copy-free batch
 // prediction) against a faithful port of the original single-thread
-// implementation, at 1 and 8 threads, verifying bit-identical predictions
-// across thread counts. Results land in BENCH_gbrt.json (override the
+// implementation, serially and on borrowed pools of 1..nproc threads
+// (the calling thread works alongside the pool), verifying bit-identical
+// predictions across pool sizes. Results land in BENCH_gbrt.json (override the
 // path with SURF_BENCH_JSON). Pass --speedup-only to skip the benchmark
 // suite, e.g. in CI perf smoke jobs.
 
@@ -17,7 +18,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "accel/accel.h"
 #include "bench_common.h"
@@ -26,6 +29,7 @@
 #include "stats/grid_index.h"
 #include "stats/kd_tree.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace surf {
@@ -203,8 +207,6 @@ BENCHMARK(BM_GbrtPredictBatch)->Arg(1024)->Arg(16384)->Unit(
 // GBRT engine speedup report (BENCH_gbrt.json)
 // ===================================================================
 
-constexpr size_t kReportThreads = 8;
-
 // Training comparison shape.
 constexpr size_t kTrainRows = 100000;
 constexpr size_t kTrainFeatures = 6;
@@ -251,28 +253,52 @@ double BestOfSeconds(size_t reps, const Fn& fn) {
   return best;
 }
 
+/// One engine arm of the pool-size sweep.
+struct PoolArm {
+  size_t pool_threads = 0;
+  double train_ms = 0.0;
+  double predict_ms = 0.0;
+};
+
 struct SpeedupReport {
   double train_baseline_ms = 0.0;
   double train_engine_1t_ms = 0.0;
-  double train_engine_mt_ms = 0.0;
   double predict_baseline_ms = 0.0;
   double predict_engine_1t_ms = 0.0;
-  double predict_engine_mt_ms = 0.0;
-  bool deterministic_across_threads = false;
+  /// Engine on borrowed pools of 1..nproc threads.
+  std::vector<PoolArm> pools;
+  bool deterministic_across_threads = true;
   double predict_max_abs_diff_vs_baseline = 0.0;
 };
 
-GbrtParams EngineParams(size_t trees, size_t depth, size_t threads) {
+GbrtParams EngineParams(size_t trees, size_t depth) {
   GbrtParams params;
   params.n_estimators = trees;
   params.max_depth = depth;
-  params.num_threads = threads;
   params.seed = 11;
   return params;
 }
 
+/// Best-of-2 engine fit on `pool` (null = serial); returns the fit time
+/// and leaves the last fitted model in `*out`.
+double TimeEngineFit(const FeatureMatrix& x, const std::vector<double>& y,
+                     ThreadPool* pool, GradientBoostedTrees* out) {
+  return 1e3 * BestOfSeconds(2, [&] {
+    GradientBoostedTrees model(EngineParams(kTrainTrees, kTrainDepth));
+    model.SetThreadPool(pool);
+    if (!model.Fit(x, y).ok()) std::abort();
+    *out = std::move(model);
+  });
+}
+
 SpeedupReport RunSpeedupReport() {
   SpeedupReport report;
+  // One pool per swept size, built before any timing.
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (size_t k = 1; k <= ThreadPool::DefaultThreadCount(); ++k) {
+    pools.push_back(std::make_unique<ThreadPool>(k));
+    report.pools.push_back(PoolArm{k, 0.0, 0.0});
+  }
 
   // ---- training ----
   FeatureMatrix train_x;
@@ -286,34 +312,25 @@ SpeedupReport RunSpeedupReport() {
     legacy.Fit(train_x, train_y);
     if (legacy.num_trees() != kTrainTrees) std::abort();
   });
-  report.train_engine_1t_ms = 1e3 * BestOfSeconds(2, [&] {
-    GradientBoostedTrees model(EngineParams(kTrainTrees, kTrainDepth, 1));
-    if (!model.Fit(train_x, train_y).ok()) std::abort();
-  });
-  report.train_engine_mt_ms = 1e3 * BestOfSeconds(2, [&] {
-    GradientBoostedTrees model(
-        EngineParams(kTrainTrees, kTrainDepth, kReportThreads));
-    if (!model.Fit(train_x, train_y).ok()) std::abort();
-  });
-
-  // Determinism: identical predictions for any thread count.
-  {
-    GradientBoostedTrees one(EngineParams(kTrainTrees, kTrainDepth, 1));
-    GradientBoostedTrees many(
-        EngineParams(kTrainTrees, kTrainDepth, kReportThreads));
-    if (!one.Fit(train_x, train_y).ok()) std::abort();
-    if (!many.Fit(train_x, train_y).ok()) std::abort();
-    const std::vector<double> pa = one.PredictBatch(train_x);
-    const std::vector<double> pb = many.PredictBatch(train_x);
-    report.deterministic_across_threads = pa == pb;
+  // Determinism: every pool size fits the serial model's predictions.
+  GradientBoostedTrees fitted;
+  report.train_engine_1t_ms =
+      TimeEngineFit(train_x, train_y, nullptr, &fitted);
+  const std::vector<double> serial_fit = fitted.PredictBatch(train_x);
+  for (size_t i = 0; i < pools.size(); ++i) {
+    report.pools[i].train_ms =
+        TimeEngineFit(train_x, train_y, pools[i].get(), &fitted);
+    if (fitted.PredictBatch(train_x) != serial_fit) {
+      report.deterministic_across_threads = false;
+    }
   }
 
   // ---- batch prediction ----
   // One big ensemble, walked by both engines: the legacy predictor loads
   // the library model's serialized trees so the comparison is over the
   // identical ensemble.
-  GradientBoostedTrees model(
-      EngineParams(kPredictTrees, kPredictDepth, kReportThreads));
+  GradientBoostedTrees model(EngineParams(kPredictTrees, kPredictDepth));
+  model.SetThreadPool(pools.back().get());
   if (!model.Fit(train_x, train_y).ok()) std::abort();
 
   bench::LegacyGbrt legacy_model;
@@ -333,22 +350,24 @@ SpeedupReport RunSpeedupReport() {
   std::vector<double> probe_y;
   MakeBenchProblem(kPredictRows, kTrainFeatures, 92, &probe_x, &probe_y);
 
-  std::vector<double> legacy_out, engine_out_1t, engine_out_mt;
+  std::vector<double> legacy_out, engine_out_1t, engine_out_pool;
   report.predict_baseline_ms = 1e3 * BestOfSeconds(3, [&] {
     legacy_out = legacy_model.PredictBatch(probe_x);
   });
-  model.set_num_threads(1);
+  model.SetThreadPool(nullptr);
   report.predict_engine_1t_ms = 1e3 * BestOfSeconds(3, [&] {
     engine_out_1t = model.PredictBatch(probe_x);
   });
-  model.set_num_threads(kReportThreads);
-  report.predict_engine_mt_ms = 1e3 * BestOfSeconds(3, [&] {
-    engine_out_mt = model.PredictBatch(probe_x);
-  });
-
-  if (engine_out_1t != engine_out_mt) {
-    report.deterministic_across_threads = false;
+  for (size_t i = 0; i < pools.size(); ++i) {
+    model.SetThreadPool(pools[i].get());
+    report.pools[i].predict_ms = 1e3 * BestOfSeconds(3, [&] {
+      engine_out_pool = model.PredictBatch(probe_x);
+    });
+    if (engine_out_pool != engine_out_1t) {
+      report.deterministic_across_threads = false;
+    }
   }
+  model.SetThreadPool(nullptr);
   for (size_t r = 0; r < legacy_out.size(); ++r) {
     report.predict_max_abs_diff_vs_baseline =
         std::max(report.predict_max_abs_diff_vs_baseline,
@@ -511,13 +530,31 @@ TraceOverheadReport RunTraceOverheadReport() {
   return report;
 }
 
+/// The pool-size sweep of one section: engine time per pool size, its
+/// speedup over the legacy baseline, and its scaling over the serial
+/// engine.
+void WritePoolArms(std::ostream& os, const std::vector<PoolArm>& arms,
+                   double PoolArm::*ms, double baseline_ms,
+                   double engine_1t_ms) {
+  os << "    \"pools\": [\n";
+  for (size_t i = 0; i < arms.size(); ++i) {
+    const PoolArm& arm = arms[i];
+    os << "      { \"pool_threads\": " << arm.pool_threads
+       << ", \"engine_ms\": " << arm.*ms
+       << ", \"speedup\": " << baseline_ms / arm.*ms
+       << ", \"scaling_vs_1t\": " << engine_1t_ms / arm.*ms << " }"
+       << (i + 1 < arms.size() ? "," : "") << "\n";
+  }
+  os << "    ]";
+}
+
 void WriteReportJson(const SpeedupReport& report, const AccelReport& accel,
                      const TraceOverheadReport& trace,
                      const std::string& path) {
   std::ofstream os(path);
   os.precision(6);
   os << "{\n";
-  os << "  \"threads\": " << kReportThreads << ",\n";
+  os << "  \"max_pool_threads\": " << report.pools.size() << ",\n";
   os << "  \"accel_backend\": \""
      << AccelBackendName(accel.selection.active) << "\",\n";
   os << "  \"accel\": {\n";
@@ -550,13 +587,11 @@ void WriteReportJson(const SpeedupReport& report, const AccelReport& accel,
   os << "    \"max_depth\": " << kTrainDepth << ",\n";
   os << "    \"baseline_1t_ms\": " << report.train_baseline_ms << ",\n";
   os << "    \"engine_1t_ms\": " << report.train_engine_1t_ms << ",\n";
-  os << "    \"engine_" << kReportThreads
-     << "t_ms\": " << report.train_engine_mt_ms << ",\n";
   os << "    \"speedup_1t\": "
      << report.train_baseline_ms / report.train_engine_1t_ms << ",\n";
-  os << "    \"speedup_" << kReportThreads << "t\": "
-     << report.train_baseline_ms / report.train_engine_mt_ms << "\n";
-  os << "  },\n";
+  WritePoolArms(os, report.pools, &PoolArm::train_ms,
+                report.train_baseline_ms, report.train_engine_1t_ms);
+  os << "\n  },\n";
   os << "  \"trace_overhead\": {\n";
   os << "    \"iterations\": " << kTraceOverheadIters << ",\n";
   os << "    \"baseline_ms\": " << trace.baseline_ms << ",\n";
@@ -571,12 +606,11 @@ void WriteReportJson(const SpeedupReport& report, const AccelReport& accel,
   os << "    \"max_depth\": " << kPredictDepth << ",\n";
   os << "    \"baseline_1t_ms\": " << report.predict_baseline_ms << ",\n";
   os << "    \"engine_1t_ms\": " << report.predict_engine_1t_ms << ",\n";
-  os << "    \"engine_" << kReportThreads
-     << "t_ms\": " << report.predict_engine_mt_ms << ",\n";
   os << "    \"speedup_1t\": "
      << report.predict_baseline_ms / report.predict_engine_1t_ms << ",\n";
-  os << "    \"speedup_" << kReportThreads << "t\": "
-     << report.predict_baseline_ms / report.predict_engine_mt_ms << ",\n";
+  WritePoolArms(os, report.pools, &PoolArm::predict_ms,
+                report.predict_baseline_ms, report.predict_engine_1t_ms);
+  os << ",\n";
   os << "    \"max_abs_diff_vs_baseline\": "
      << report.predict_max_abs_diff_vs_baseline << "\n";
   os << "  },\n";
@@ -639,18 +673,21 @@ int main(int argc, char** argv) {
   std::printf("\n== GBRT engine speedup report (vs legacy single-thread "
               "baseline) ==\n");
   const surf::SpeedupReport report = surf::RunSpeedupReport();
-  std::printf("train   : baseline %.1f ms | engine 1t %.1f ms (%.2fx) | "
-              "engine %zut %.1f ms (%.2fx)\n",
+  std::printf("train   : baseline %.1f ms | engine 1t %.1f ms (%.2fx)\n",
               report.train_baseline_ms, report.train_engine_1t_ms,
-              report.train_baseline_ms / report.train_engine_1t_ms,
-              surf::kReportThreads, report.train_engine_mt_ms,
-              report.train_baseline_ms / report.train_engine_mt_ms);
-  std::printf("predict : baseline %.1f ms | engine 1t %.1f ms (%.2fx) | "
-              "engine %zut %.1f ms (%.2fx)\n",
+              report.train_baseline_ms / report.train_engine_1t_ms);
+  std::printf("predict : baseline %.1f ms | engine 1t %.1f ms (%.2fx)\n",
               report.predict_baseline_ms, report.predict_engine_1t_ms,
-              report.predict_baseline_ms / report.predict_engine_1t_ms,
-              surf::kReportThreads, report.predict_engine_mt_ms,
-              report.predict_baseline_ms / report.predict_engine_mt_ms);
+              report.predict_baseline_ms / report.predict_engine_1t_ms);
+  for (const surf::PoolArm& arm : report.pools) {
+    std::printf("pool %2zu : train %.1f ms (%.2fx, %.2fx vs 1t) | predict "
+                "%.1f ms (%.2fx, %.2fx vs 1t)\n",
+                arm.pool_threads, arm.train_ms,
+                report.train_baseline_ms / arm.train_ms,
+                report.train_engine_1t_ms / arm.train_ms, arm.predict_ms,
+                report.predict_baseline_ms / arm.predict_ms,
+                report.predict_engine_1t_ms / arm.predict_ms);
+  }
   std::printf("bit-identical across thread counts: %s | max |Δ| vs "
               "baseline: %.3g\n",
               report.deterministic_across_threads ? "yes" : "NO",

@@ -31,7 +31,8 @@ std::unique_ptr<RegionEvaluator> MakeEvaluator(BackendKind kind,
 std::unique_ptr<RegionEvaluator> MakeEvaluator(BackendKind kind,
                                                const Dataset* data,
                                                const Statistic& statistic,
-                                               size_t shards) {
+                                               size_t shards,
+                                               ThreadPool* pool) {
   if (shards <= 1) return MakeEvaluator(kind, data, statistic);
   ShardingOptions options;
   options.num_shards = shards;
@@ -44,7 +45,7 @@ std::unique_ptr<RegionEvaluator> MakeEvaluator(BackendKind kind,
     options.columns.push_back(static_cast<size_t>(statistic.value_col));
   }
   return std::make_unique<ShardedScanEvaluator>(
-      ShardedDataset::Partition(*data, options), statistic);
+      ShardedDataset::Partition(*data, options), statistic, pool);
 }
 
 namespace {
@@ -131,7 +132,7 @@ StatusOr<Surf> Surf::Build(const Dataset* data, Statistic statistic,
   surf.data_ = data;
   surf.options_ = options;
   surf.evaluator_ =
-      MakeEvaluator(options.backend, data, statistic, options.shards);
+      MakeEvaluator(options.backend, data, statistic, options.shards, pool);
 
   const Bounds domain = data->ComputeBounds(statistic.region_cols);
   const RegionWorkload workload =

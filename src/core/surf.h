@@ -68,7 +68,9 @@ class Surf {
  public:
   /// Builds the pipeline: labels `options.workload.num_queries` random
   /// regions with the true statistic, trains the surrogate, and fits the
-  /// KDE prior. `data` must outlive the returned object.
+  /// KDE prior. `data` must outlive the returned object. A non-null
+  /// `pool` is borrowed by training and, with `options.shards` >= 2, by
+  /// the exact evaluator, so it must outlive the returned object too.
   static StatusOr<Surf> Build(const Dataset* data, Statistic statistic,
                               const SurfOptions& options,
                               ThreadPool* pool = nullptr);
@@ -116,11 +118,14 @@ std::unique_ptr<RegionEvaluator> MakeEvaluator(BackendKind kind,
 /// range-partitioned on the statistic's first region column (`kind`
 /// then only describes what a single-shard request would have used —
 /// the sharded scan is its own exact backend, and it alone owns
-/// materialized shard chunks instead of referencing `data`).
+/// materialized shard chunks instead of referencing `data`). The sharded
+/// evaluator borrows `pool` for its per-query shard scans (null =
+/// inline); the pool must outlive the evaluator.
 std::unique_ptr<RegionEvaluator> MakeEvaluator(BackendKind kind,
                                                const Dataset* data,
                                                const Statistic& statistic,
-                                               size_t shards);
+                                               size_t shards,
+                                               ThreadPool* pool = nullptr);
 
 /// Fits the Eq. 8 KDE data prior over a dataset's region columns on a
 /// bounded subsample (deterministic for a given seed). Shared by

@@ -51,6 +51,7 @@ StatusOr<Surrogate> Surrogate::Train(const RegionWorkload& workload,
   auto model = std::make_unique<GradientBoostedTrees>(params);
   model->SetCancelToken(cancel);
   model->SetTrace(trace);
+  model->SetThreadPool(pool);
 
   // Holdout split for out-of-sample RMSE reporting.
   Rng rng(options.seed);
@@ -63,10 +64,11 @@ StatusOr<Surrogate> Surrogate::Train(const RegionWorkload& workload,
   std::vector<double> train_y;
   GatherFold(workload, split.train, &train_x, &train_y);
   SURF_RETURN_IF_ERROR(model->Fit(train_x, train_y));
-  // The token and trace are per-request state; a later warm-start
+  // The token, trace and pool are per-request state; a later warm-start
   // continuation of this model must not observe them.
   model->SetCancelToken(CancelToken());
   model->SetTrace(nullptr);
+  model->SetThreadPool(nullptr);
 
   SurrogateMetrics metrics;
   metrics.hypertuned = hypertuned;

@@ -62,11 +62,12 @@ class Surrogate {
   Surrogate() = default;
 
   /// Trains the default GBRT surrogate on a workload. When
-  /// `options.hypertune` is set, runs GridSearchCV first (parallelized
-  /// over `pool` if provided). `cancel` is polled between boosting
-  /// rounds: a fired token aborts the fit and returns Cancelled within
-  /// one round. A non-null `trace` records hypertune/boosting spans;
-  /// tracing never changes the fitted model.
+  /// `options.hypertune` is set, runs GridSearchCV first. A non-null
+  /// `pool` is borrowed by the grid search and by every model fitted
+  /// here; the fitted model is bit-identical either way. `cancel` is
+  /// polled between boosting rounds: a fired token aborts the fit and
+  /// returns Cancelled within one round. A non-null `trace` records
+  /// hypertune/boosting spans; tracing never changes the fitted model.
   static StatusOr<Surrogate> Train(const RegionWorkload& workload,
                                    const SurrogateTrainOptions& options,
                                    ThreadPool* pool = nullptr,

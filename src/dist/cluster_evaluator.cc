@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <thread>
 #include <utility>
 
 #include "dist/wire.h"
@@ -20,8 +19,11 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 }  // namespace
 
 ClusterEvaluator::ClusterEvaluator(WorkerPool* pool, Statistic stat,
-                                   Options options)
-    : pool_(pool), stat_(std::move(stat)), options_(std::move(options)) {
+                                   Options options, ThreadPool* threads)
+    : pool_(pool),
+      threads_(threads),
+      stat_(std::move(stat)),
+      options_(std::move(options)) {
   num_shards_ = options_.num_shards != 0 ? options_.num_shards
                                          : std::max<size_t>(1, pool_->size());
   // Same partition derivation as MakeEvaluator's sharded branch: range-
@@ -182,20 +184,15 @@ std::vector<double> ClusterEvaluator::EvaluateBatchImpl(
     groups[g].worker = healthy[g];
   }
 
-  // Scatter: one thread per group, so every worker's RPC (and any
-  // re-home retries) overlaps with the others. Each thread writes only
-  // its own Group slot; the join below is the only synchronization
+  // Scatter: one item per group, so every worker's RPC (and any
+  // re-home retries) overlaps with the others. Each item writes only its
+  // own Group slot; ParallelFor's return is the only synchronization
   // needed.
-  std::vector<std::thread> threads;
-  threads.reserve(num_groups);
-  for (size_t g = 0; g < num_groups; ++g) {
-    threads.emplace_back([this, &groups, &regions, &cancel, g] {
-      Group& group = groups[g];
-      group.status = EvaluateGroup(group.shards, regions, group.worker,
-                                   cancel, &group.partials);
-    });
-  }
-  for (std::thread& t : threads) t.join();
+  ParallelFor(threads_, num_groups, [&](size_t g) {
+    Group& group = groups[g];
+    group.status = EvaluateGroup(group.shards, regions, group.worker, cancel,
+                                 &group.partials);
+  });
 
   // A fired token yields the empty prefix — no label was completed from
   // the caller's perspective (partial gathers are discarded).

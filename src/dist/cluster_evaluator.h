@@ -13,7 +13,8 @@
 ///  1. gives unhealthy workers a /healthz chance to rejoin, then splits
 ///     the `num_shards`-way partition into contiguous ascending shard
 ///     groups, one per healthy worker;
-///  2. scatters one `POST /v1/shards:evaluate` per group concurrently —
+///  2. scatters one `POST /v1/shards:evaluate` per group — concurrently
+///     as a ParallelFor over the groups on the borrowed thread pool —
 ///     each worker evaluates its assigned shards over the whole query
 ///     batch and ships the raw per-(query, shard) accumulators back
 ///     UNMERGED;
@@ -45,6 +46,7 @@
 #include "dist/worker_pool.h"
 #include "stats/evaluator.h"
 #include "util/retry.h"
+#include "util/thread_pool.h"
 
 namespace surf {
 namespace dist {
@@ -70,10 +72,13 @@ class ClusterEvaluator : public RegionEvaluator {
     RetryPolicy retry = MakeDefaultRetry();
   };
 
-  /// Non-owning `pool`; it must outlive the evaluator. The partition
-  /// spec (order_by / columns) is derived from the statistic exactly
-  /// like MakeEvaluator derives it for the in-process sharded backend.
-  ClusterEvaluator(WorkerPool* pool, Statistic stat, Options options);
+  /// Non-owning `pool` and `threads`; both must outlive the evaluator.
+  /// The shard groups' RPCs overlap on `threads` (null = one group
+  /// after another on the calling thread). The partition spec
+  /// (order_by / columns) is derived from the statistic exactly like
+  /// MakeEvaluator derives it for the in-process sharded backend.
+  ClusterEvaluator(WorkerPool* pool, Statistic stat, Options options,
+                   ThreadPool* threads = nullptr);
 
   const Statistic& statistic() const override { return stat_; }
 
@@ -117,6 +122,7 @@ class ClusterEvaluator : public RegionEvaluator {
   void MarkDegraded(const std::string& reason) const;
 
   WorkerPool* pool_;
+  ThreadPool* threads_;
   Statistic stat_;
   Options options_;
   size_t num_shards_;

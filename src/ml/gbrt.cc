@@ -19,10 +19,9 @@ namespace {
 /// per-tree setup across rows.
 constexpr size_t kPredictBlockRows = 1024;
 
-/// Batches below this predict serially: PredictBatch spins up a pool per
-/// call (the model stays copyable and trivially thread-safe), so the
-/// block work must dwarf the ~0.1 ms spawn/join cost. Optimizer swarms
-/// (hundreds of regions) always take the serial path.
+/// Batches below this predict serially even with a pool attached: the
+/// block work must dwarf the cost of handing blocks to other threads.
+/// Optimizer swarms (hundreds of regions) always take the serial path.
 constexpr size_t kMinParallelPredictRows = 8 * kPredictBlockRows;
 
 constexpr size_t kMaxModelTrees = 1u << 20;
@@ -31,11 +30,6 @@ constexpr size_t kMaxModelFeatures = 1u << 20;
 // Unit hessians (squared loss) are signalled by an empty vector, which
 // switches the tree trainer to its count-only histogram fast path.
 const std::vector<double> kUnitHess;
-
-size_t ResolveThreads(const GbrtParams& params) {
-  return params.num_threads == 0 ? ThreadPool::DefaultThreadCount()
-                                 : params.num_threads;
-}
 
 TreeParams MakeTreeParams(const GbrtParams& params) {
   TreeParams tree_params;
@@ -145,9 +139,6 @@ Status GradientBoostedTrees::Fit(const FeatureMatrix& x,
   std::vector<uint8_t> covered;
 
   const TreeParams tree_params = MakeTreeParams(params_);
-  const size_t num_threads = ResolveThreads(params_);
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
 
   double best_valid_rmse = std::numeric_limits<double>::infinity();
   size_t rounds_since_best = 0;
@@ -197,7 +188,7 @@ Status GradientBoostedTrees::Fit(const FeatureMatrix& x,
 
     RegressionTree tree;
     tree.Fit(binned, binner, grad, kUnitHess, &tree_rows, tree_params, &rng,
-             pool.get());
+             pool_);
     ApplyTreeToPredictions(tree, tree_rows, cols, params_.learning_rate,
                            x.num_rows(), &covered, &pred);
     trees_.push_back(std::move(tree));
@@ -259,9 +250,6 @@ Status GradientBoostedTrees::ContinueFit(const FeatureMatrix& x,
   std::vector<uint8_t> covered;
 
   const TreeParams tree_params = MakeTreeParams(params_);
-  const size_t num_threads = ResolveThreads(params_);
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
 
   for (size_t round = 0; round < extra_trees; ++round) {
     if (cancel_.cancelled()) {
@@ -271,7 +259,7 @@ Status GradientBoostedTrees::ContinueFit(const FeatureMatrix& x,
     std::iota(rows.begin(), rows.end(), 0);
     RegressionTree tree;
     tree.Fit(binned, binner, grad, kUnitHess, &rows, tree_params, &rng,
-             pool.get());
+             pool_);
     ApplyTreeToPredictions(tree, rows, cols, params_.learning_rate,
                            x.num_rows(), &covered, &pred);
     trees_.push_back(std::move(tree));
@@ -314,14 +302,12 @@ std::vector<double> GradientBoostedTrees::PredictBatch(
     }
   };
 
-  const size_t num_threads = ResolveThreads(params_);
-  if (num_threads > 1 && n >= kMinParallelPredictRows) {
+  if (pool_ != nullptr && n >= kMinParallelPredictRows) {
     // Disjoint blocks, each summed tree-by-tree in a fixed order, so the
     // result is bit-identical to the serial path.
-    ThreadPool pool(num_threads);
     const size_t num_blocks =
         (n + kPredictBlockRows - 1) / kPredictBlockRows;
-    ParallelFor(&pool, num_blocks, [&](size_t b) {
+    ParallelFor(pool_, num_blocks, [&](size_t b) {
       const size_t b0 = b * kPredictBlockRows;
       run_range(b0, std::min(n, b0 + kPredictBlockRows));
     });

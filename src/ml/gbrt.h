@@ -31,11 +31,6 @@ struct GbrtParams {
   double colsample = 1.0;
   /// Histogram resolution.
   size_t max_bins = 256;
-  /// Worker threads for histogram building and blocked batch prediction
-  /// (0 = hardware concurrency). Results are bit-identical for any value:
-  /// parallel work is partitioned per feature / per row block with a
-  /// fixed reduction order.
-  size_t num_threads = 1;
   /// Derive each larger child's histogram by subtracting the smaller
   /// sibling's from the parent's (off = direct rebuild, the reference
   /// path for equivalence tests).
@@ -53,8 +48,8 @@ struct GbrtParams {
   /// Canonical full serialization of every *model-relevant* field, used by
   /// the serving layer to fingerprint cache keys. Two parameter sets with
   /// equal canonical strings train bit-identical ensembles on the same
-  /// data. Runtime-only knobs (`num_threads`, `use_sibling_subtraction`)
-  /// are excluded: they never change the fitted model.
+  /// data. The runtime-only knob `use_sibling_subtraction` is excluded:
+  /// it never changes the fitted model.
   std::string CanonicalString() const;
 };
 
@@ -85,9 +80,9 @@ class GradientBoostedTrees : public Regressor {
 
   /// Copy-free blocked batch prediction: walks every tree over a block of
   /// rows straight out of the column-major matrix (no per-row gather), so
-  /// each tree's nodes stay cache-hot across the whole block. Blocks run
-  /// in parallel when `num_threads > 1`; output is bit-identical to the
-  /// scalar path for any thread count.
+  /// each tree's nodes stay cache-hot across the whole block. Blocks of
+  /// a large batch run on the borrowed pool (SetThreadPool); output is
+  /// bit-identical to the scalar path for any pool size.
   std::vector<double> PredictBatch(const FeatureMatrix& x) const override;
 
   bool trained() const override { return trained_; }
@@ -108,10 +103,15 @@ class GradientBoostedTrees : public Regressor {
   /// ensemble); reset it (nullptr) before reusing the model object.
   void SetTrace(TraceContext* trace) { trace_ = trace; }
 
+  /// Borrows `pool` (null = serial, the default) for per-feature
+  /// histogram building in Fit/ContinueFit and for the blocks of large
+  /// PredictBatch calls. Runtime-only like the cancel token: work is
+  /// partitioned per feature / per row block with a fixed reduction
+  /// order, so results are bit-identical for any pool, and the pool must
+  /// outlive every call made while it is attached.
+  void SetThreadPool(ThreadPool* pool) { pool_ = pool; }
+
   const GbrtParams& params() const { return params_; }
-  /// Prediction-time parallelism is a runtime choice: retargeting the
-  /// thread count never changes results (blocks reduce in a fixed order).
-  void set_num_threads(size_t n) { params_.num_threads = n; }
   size_t num_trees() const { return trees_.size(); }
   double base_score() const { return base_score_; }
 
@@ -126,6 +126,7 @@ class GradientBoostedTrees : public Regressor {
   GbrtParams params_;
   CancelToken cancel_;
   TraceContext* trace_ = nullptr;
+  ThreadPool* pool_ = nullptr;
   double base_score_ = 0.0;
   std::vector<RegressionTree> trees_;
   std::vector<double> train_curve_;

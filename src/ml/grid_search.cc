@@ -43,7 +43,8 @@ GridSearchSpace GridSearchSpace::Small() {
 double CrossValidatedRmse(const FeatureMatrix& x,
                           const std::vector<double>& y,
                           const GbrtParams& params, size_t k_folds,
-                          uint64_t seed, double* std_out) {
+                          uint64_t seed, double* std_out,
+                          ThreadPool* pool) {
   assert(k_folds >= 2);
   Rng rng(seed);
   const auto folds = KFoldSplits(x.num_rows(), k_folds, &rng);
@@ -56,6 +57,7 @@ double CrossValidatedRmse(const FeatureMatrix& x,
     for (size_t r : fold.train) train_y.push_back(y[r]);
 
     GradientBoostedTrees model(params);
+    model.SetThreadPool(pool);
     const Status st = model.Fit(train_x, train_y);
     assert(st.ok());
     (void)st;
@@ -86,15 +88,11 @@ GridSearchResult GridSearchCV(const FeatureMatrix& x,
     GridSearchEntry entry;
     entry.params = combos[i];
     entry.mean_rmse = CrossValidatedRmse(x, y, combos[i], k_folds,
-                                         seed + i, &entry.std_rmse);
+                                         seed + i, &entry.std_rmse, pool);
     result.entries[i] = entry;
   };
 
-  if (pool != nullptr) {
-    ParallelFor(pool, combos.size(), evaluate);
-  } else {
-    for (size_t i = 0; i < combos.size(); ++i) evaluate(i);
-  }
+  ParallelFor(pool, combos.size(), evaluate);
 
   double best = std::numeric_limits<double>::infinity();
   for (const auto& entry : result.entries) {

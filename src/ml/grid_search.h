@@ -47,18 +47,22 @@ struct GridSearchResult {
 };
 
 /// K-fold cross-validated grid search over GBRT hyper-parameters
-/// (scikit-learn's GridSearchCV, §V-E). Parameter combinations are
-/// evaluated in parallel when a pool is supplied. `k_folds` >= 2.
+/// (scikit-learn's GridSearchCV, §V-E). With a pool, parameter
+/// combinations are evaluated in parallel and every fold's model borrows
+/// the same pool (nested ParallelFor); results match the serial run
+/// bit for bit. `k_folds` >= 2.
 GridSearchResult GridSearchCV(const FeatureMatrix& x,
                               const std::vector<double>& y,
                               const GridSearchSpace& space,
                               const GbrtParams& base, size_t k_folds,
                               uint64_t seed, ThreadPool* pool = nullptr);
 
-/// Convenience: cross-validated RMSE of one parameter set.
+/// Convenience: cross-validated RMSE of one parameter set. The fold
+/// models borrow `pool` (null = serial).
 double CrossValidatedRmse(const FeatureMatrix& x, const std::vector<double>& y,
                           const GbrtParams& params, size_t k_folds,
-                          uint64_t seed, double* std_out = nullptr);
+                          uint64_t seed, double* std_out = nullptr,
+                          ThreadPool* pool = nullptr);
 
 }  // namespace surf
 

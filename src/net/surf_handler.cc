@@ -687,8 +687,7 @@ HttpResponse SurfHandler::HandleShardEvaluate(const HttpRequest& request,
     options.order_by = decoded->order_by;
     options.columns = decoded->columns;
     auto built = std::make_shared<const ShardedScanEvaluator>(
-        ShardedDataset::Partition(*data, options), decoded->statistic,
-        /*num_threads=*/1);
+        ShardedDataset::Partition(*data, options), decoded->statistic);
     std::lock_guard<std::mutex> lock(shard_evaluators_mu_);
     auto [it, inserted] = shard_evaluators_.emplace(key, std::move(built));
     evaluator = it->second;  // a concurrent loser shares the winner's

@@ -166,8 +166,8 @@ class SurfHandler {
   /// Worker-side cache of partitioned shard evaluators, keyed by
   /// (dataset | statistic fingerprint | partition spec) so repeated
   /// scatter batches from the same coordinator reuse one partition.
-  /// Evaluators run single-threaded (num_threads = 1): determinism with
-  /// no nested pools — scale-out comes from multiple worker processes.
+  /// Evaluators borrow no pool and scan their shards on the request's
+  /// own thread: scale-out comes from multiple worker processes.
   mutable std::mutex shard_evaluators_mu_;
   std::map<std::string, std::shared_ptr<const ShardedScanEvaluator>>
       shard_evaluators_;

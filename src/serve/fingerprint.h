@@ -54,8 +54,9 @@ uint64_t FingerprintWorkloadParams(const WorkloadParams& params);
 
 /// Fingerprint of the surrogate training configuration: every
 /// model-relevant GBRT hyper-parameter plus the hypertune/CV/test-split
-/// settings. Runtime-only knobs (`num_threads`) are deliberately
-/// excluded — the engine is bit-identical for any thread count.
+/// settings. The runtime-only knob `gbrt.use_sibling_subtraction` is
+/// deliberately excluded — it never changes the fitted model, just as
+/// the thread pool a fit borrows does not.
 uint64_t FingerprintTrainOptions(const SurrogateTrainOptions& options);
 
 /// \brief Cache key of one servable surrogate: which data, which

@@ -16,11 +16,10 @@ namespace surf {
 
 MiningService::MiningService(Options options)
     : options_(options),
-      pool_(options.num_threads == 0 ? ThreadPool::DefaultThreadCount()
-                                     : options.num_threads),
-      scheduler_(&pool_),
       cache_(options.cache),
-      traces_(options.trace_ring_capacity) {
+      traces_(options.trace_ring_capacity),
+      pool_(options.num_threads == 0 ? ThreadPool::DefaultThreadCount()
+                                     : options.num_threads) {
   if (!options_.cluster_workers.empty()) {
     cluster_pool_ =
         std::make_unique<dist::WorkerPool>(options_.cluster_workers);
@@ -28,17 +27,13 @@ MiningService::MiningService(Options options)
 }
 
 MiningService::~MiningService() {
-  // Submitted jobs reference the cache and dataset registry; those
-  // members are destroyed before pool_, so the queue must drain first —
-  // and abandoned jobs are cancelled so the drain takes one iteration
-  // per running search, not their full remaining runtime.
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    for (const auto& weak : live_jobs_) {
-      if (auto job = weak.lock()) job->Cancel();
-    }
+  // Abandoned jobs are cancelled so the drain in pool_'s destructor
+  // (the first member destroyed) takes one iteration per running search,
+  // not their full remaining runtime.
+  std::lock_guard<std::mutex> lock(jobs_mu_);
+  for (const auto& weak : live_jobs_) {
+    if (auto job = weak.lock()) job->Cancel();
   }
-  pool_.Wait();
 }
 
 Status MiningService::RegisterDataset(const std::string& name, Dataset data) {
@@ -155,10 +150,11 @@ StatusOr<TrainedSurrogate> MiningService::TrainEntry(
     cluster_options.fingerprint = named.fingerprint;
     cluster_options.num_shards = request.shards >= 2 ? request.shards : 0;
     evaluator = std::make_shared<const dist::ClusterEvaluator>(
-        cluster_pool_.get(), request.statistic, std::move(cluster_options));
+        cluster_pool_.get(), request.statistic, std::move(cluster_options),
+        &pool_);
   } else {
     evaluator = MakeEvaluator(request.backend, data, request.statistic,
-                              request.shards);
+                              request.shards, &pool_);
   }
   const Bounds domain = named.DomainBounds(request.statistic.region_cols);
   const RegionWorkload workload =
@@ -169,10 +165,8 @@ StatusOr<TrainedSurrogate> MiningService::TrainEntry(
         "workload generation produced no defined statistics");
   }
 
-  // No shared-pool parallelism here: TrainEntry may itself be running on a
-  // pool worker (MineBatch), and ThreadPool::Wait drains the *whole* pool
-  // — nesting would deadlock. GBRT-internal threading (params.num_threads)
-  // is independent of the service pool and stays available.
+  // Training stays serial (no pool): handing it pool_ is safe, since
+  // ParallelFor nests, but it is a separate throughput change.
   // Surrogate::Train records its own kTraining stage span, so the
   // service adds none here (nesting two would double-count the stage).
   auto surrogate =
@@ -394,12 +388,18 @@ std::shared_ptr<MineJob> MiningService::Schedule(
 
 std::vector<MineResponse> MiningService::MineBatch(
     const std::vector<MineRequest>& requests) {
-  std::vector<std::function<MineResponse()>> jobs;
+  std::vector<std::shared_ptr<MineJob>> jobs;
   jobs.reserve(requests.size());
   for (const MineRequest& request : requests) {
-    jobs.push_back([this, request] { return Mine(request); });
+    jobs.push_back(Submit(request));
   }
-  return scheduler_.RunAll<MineResponse>(std::move(jobs));
+  std::vector<MineResponse> responses;
+  responses.reserve(jobs.size());
+  for (auto& job : jobs) {
+    job->Wait();
+    responses.push_back(job->TakeResponse());
+  }
+  return responses;
 }
 
 std::vector<v2::MineResponse> MiningService::MineBatch(

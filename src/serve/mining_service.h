@@ -14,7 +14,6 @@
 #include "core/surf.h"
 #include "core/topk.h"
 #include "serve/mine_job.h"
-#include "serve/scheduler.h"
 #include "serve/surrogate_cache.h"
 #include "util/cancel.h"
 #include "util/retry.h"
@@ -121,7 +120,7 @@ struct MineResponse {
 /// Concurrent requests for the same (dataset, statistic, workload recipe,
 /// model recipe) share one trained surrogate — the first request trains,
 /// the rest block on the in-flight fit, and later ones hit the cache
-/// outright. Mining itself (GSO/PSO/top-k search) runs per request
+/// outright. Mining itself (GSO/top-k search) runs per request
 /// against read-only model snapshots, so any number of requests can be in
 /// flight at once.
 ///
@@ -137,7 +136,9 @@ class MiningService {
  public:
   /// \brief Service configuration.
   struct Options {
-    /// Worker threads for MineBatch (0 = hardware concurrency).
+    /// Threads of the service pool (0 = hardware concurrency): it runs
+    /// submitted jobs and MineBatch, and is borrowed by the sharded and
+    /// cluster exact evaluators a training builds.
     size_t num_threads = 0;
     /// Surrogate-cache sizing/eviction/warm-start policy.
     SurrogateCache::Options cache;
@@ -166,10 +167,11 @@ class MiningService {
   MiningService() : MiningService(Options{}) {}
   /// Service with an explicit configuration.
   explicit MiningService(Options options);
-  /// Cancels every outstanding submitted job, then drains the worker
-  /// pool, so shutdown completes within one search iteration per
-  /// running job rather than their full remaining runtime — and no job
-  /// touches the cache or registry after they die.
+  /// Cancels every outstanding submitted job, then drains and joins the
+  /// pool (destroyed first, as the last member), so shutdown completes
+  /// within one search iteration per running job rather than their full
+  /// remaining runtime — and no job touches the cache or registry after
+  /// they die.
   ~MiningService();
 
   /// Registers a dataset under `name`. Fails with AlreadyExists on reuse.
@@ -215,8 +217,9 @@ class MiningService {
   /// cancel token at submission time (queue wait counts against it).
   std::shared_ptr<MineJob> Submit(const v2::MineRequest& request);
 
-  /// Serves a batch concurrently over the worker pool; responses are in
-  /// request order.
+  /// Serves a batch concurrently as submitted jobs and waits for all;
+  /// responses are in request order. Must not be called from a pool
+  /// worker (it blocks on pool-scheduled jobs).
   std::vector<MineResponse> MineBatch(const std::vector<MineRequest>& requests);
 
   /// v2 batch: fans the requests out as deadline-armed jobs (each
@@ -239,9 +242,7 @@ class MiningService {
   SurrogateCache& cache() { return cache_; }
   /// Read-only view of the surrogate cache.
   const SurrogateCache& cache() const { return cache_; }
-  /// The worker pool MineBatch schedules over.
-  ThreadPool& pool() { return pool_; }
-  /// Worker-thread count of the pool.
+  /// Worker-thread count of the service pool.
   size_t num_threads() const { return pool_.num_threads(); }
   /// Completed traces of recent traced requests (backs `/v1/trace/{id}`).
   const TraceRing& traces() const { return traces_; }
@@ -310,8 +311,6 @@ class MiningService {
                   MineResponse* response);
 
   Options options_;
-  ThreadPool pool_;
-  RequestScheduler scheduler_;
   SurrogateCache cache_;
   TraceRing traces_;
   /// Remote workers for cluster-mode requests; null when
@@ -328,6 +327,11 @@ class MiningService {
   /// std::map keeps entry addresses stable across inserts and names
   /// sorted for dataset_names().
   std::map<std::string, NamedDataset> datasets_;
+
+  /// Declared last so it is destroyed first: its destructor runs the
+  /// queued jobs and joins the workers while everything a job touches
+  /// (cache, registry, cluster pool) is still alive.
+  ThreadPool pool_;
 };
 
 }  // namespace surf

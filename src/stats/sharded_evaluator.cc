@@ -29,8 +29,8 @@ ShardedScanEvaluator::global_telemetry() {
 
 ShardedScanEvaluator::ShardedScanEvaluator(ShardedDataset data,
                                            Statistic stat,
-                                           size_t num_threads)
-    : data_(std::move(data)), stat_(std::move(stat)) {
+                                           ThreadPool* pool)
+    : data_(std::move(data)), stat_(std::move(stat)), pool_(pool) {
   for ([[maybe_unused]] size_t c : stat_.region_cols) {
     assert(c < data_.num_cols());
   }
@@ -50,12 +50,6 @@ ShardedScanEvaluator::ShardedScanEvaluator(ShardedDataset data,
       shard_matches_[s] = matches;
     }
   }
-
-  size_t threads = num_threads == 0
-                       ? std::min(data_.num_shards(),
-                                  ThreadPool::DefaultThreadCount())
-                       : std::min(data_.num_shards(), num_threads);
-  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
 }
 
 void ShardedScanEvaluator::EvalShard(size_t shard_index,
@@ -160,19 +154,12 @@ double ShardedScanEvaluator::EvaluateImpl(const Region& region,
   // rounding — is identical at any thread count.
   std::vector<StatisticAccumulator> partials(num_shards,
                                              StatisticAccumulator(stat_));
-  if (pool_ == nullptr) {
-    for (size_t s = 0; s < num_shards; ++s) {
-      // One poll per shard batch: a fired token abandons the remaining
-      // shards (the partial result is discarded by the caller).
-      if (cancel.can_cancel() && cancel.cancelled()) break;
-      EvalShard(s, region, &partials[s]);
-    }
-  } else {
-    ParallelFor(pool_.get(), num_shards, [&](size_t s) {
-      if (cancel.can_cancel() && cancel.cancelled()) return;
-      EvalShard(s, region, &partials[s]);
-    });
-  }
+  ParallelFor(pool_, num_shards, [&](size_t s) {
+    // One poll per shard: a fired token skips the remaining shards (the
+    // partial result is discarded by the caller).
+    if (cancel.can_cancel() && cancel.cancelled()) return;
+    EvalShard(s, region, &partials[s]);
+  });
 
   // Seed the fold with shard 0's partial (a bitwise copy) so the
   // single-shard configuration reproduces the legacy sequential scan

@@ -5,7 +5,6 @@
 /// \brief Shard-parallel exact back-end over a ShardedDataset.
 
 #include <atomic>
-#include <memory>
 
 #include "data/sharded.h"
 #include "stats/evaluator.h"
@@ -29,7 +28,7 @@ namespace surf {
 /// With range partitioning on a region column (ShardingOptions.order_by)
 /// most shards land in the first two classes, which is where the
 /// speedup on one core comes from; with more cores the boundary-shard
-/// scans additionally run in parallel on the evaluator's own pool.
+/// scans additionally run in parallel on a borrowed pool.
 ///
 /// Determinism and bit-identity:
 ///  - partial accumulators are merged in ascending shard index, so the
@@ -49,17 +48,18 @@ namespace surf {
 /// discarded by the caller, per the RegionEvaluator contract.
 class ShardedScanEvaluator : public RegionEvaluator {
  public:
-  /// Takes ownership of the shard chunks. `num_threads` sizes the
-  /// internal scan pool: 0 = min(shards, hardware); 1 = inline
-  /// single-threaded evaluation (no pool). The pool is private to this
-  /// evaluator, so it composes with callers that already run on a
-  /// shared pool (MiningService workers) without nesting deadlocks.
+  /// Takes ownership of the shard chunks. Each query's shards are
+  /// evaluated with ParallelFor over the borrowed `pool`, which must
+  /// outlive the evaluator; null (the default) evaluates them inline on
+  /// the calling thread. ParallelFor nests, so the pool may be the one
+  /// the caller itself runs on (MiningService workers).
   ShardedScanEvaluator(ShardedDataset data, Statistic stat,
-                       size_t num_threads = 0);
+                       ThreadPool* pool = nullptr);
 
   const Statistic& statistic() const override { return stat_; }
 
   size_t num_shards() const { return data_.num_shards(); }
+  /// Worker threads of the borrowed pool (1 when evaluating inline).
   size_t num_threads() const { return pool_ ? pool_->num_threads() : 1; }
   const ShardedDataset& data() const { return data_; }
 
@@ -104,7 +104,7 @@ class ShardedScanEvaluator : public RegionEvaluator {
   /// Per-shard label-match counts (pre-aggregated at construction so
   /// fully-covered shards stay O(1) for kLabelRatio too).
   std::vector<size_t> shard_matches_;
-  std::unique_ptr<ThreadPool> pool_;
+  ThreadPool* pool_;
   mutable std::atomic<uint64_t> pruned_{0};
   mutable std::atomic<uint64_t> block_merged_{0};
   mutable std::atomic<uint64_t> scanned_{0};

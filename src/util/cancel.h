@@ -8,7 +8,7 @@
 /// Cancellation in SuRF is cooperative and deadline-aware: a request
 /// owner holds a CancelSource and hands copies of its CancelToken to the
 /// expensive loops (workload labelling, GBRT boosting rounds, KDE
-/// fitting, GSO/PSO iterations). Each loop polls `cancelled()` once per
+/// fitting, GSO iterations). Each loop polls `cancelled()` once per
 /// iteration — one atomic load plus, when a deadline is armed, one
 /// steady_clock read — and unwinds within a single iteration when the
 /// flag fires or the deadline passes. Nothing is ever interrupted

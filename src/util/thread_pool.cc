@@ -1,7 +1,9 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <memory>
 
 namespace surf {
 
@@ -23,18 +25,18 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    assert(!shutdown_);
-    queue_.push(std::move(task));
-    ++in_flight_;
-  }
-  cv_task_.notify_one();
+  [[maybe_unused]] const bool accepted = TrySubmit(std::move(task));
+  assert(accepted);
 }
 
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_done_.wait(lock, [this] { return in_flight_ == 0; });
+bool ThreadPool::TrySubmit(std::function<void()> task) {
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (shutdown_) return false;
+    queue_.push(std::move(task));
+  }
+  cv_task_.notify_one();
+  return true;
 }
 
 void ThreadPool::WorkerLoop() {
@@ -43,19 +45,11 @@ void ThreadPool::WorkerLoop() {
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_task_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (shutdown_) return;
-        continue;
-      }
+      if (queue_.empty()) return;  // shutdown with the queue drained
       task = std::move(queue_.front());
       queue_.pop();
     }
     task();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) cv_done_.notify_all();
-    }
   }
 }
 
@@ -66,11 +60,37 @@ size_t ThreadPool::DefaultThreadCount() {
 
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& fn) {
-  assert(pool != nullptr);
-  for (size_t i = 0; i < n; ++i) {
-    pool->Submit([&fn, i] { fn(i); });
+  if (pool == nullptr || n <= 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
   }
-  pool->Wait();
+  // Shared with the helpers, which may start after this call returned.
+  struct Group {
+    std::atomic<size_t> next{0};
+    std::atomic<size_t> done{0};
+    std::mutex mu;
+    std::condition_variable cv;
+  };
+  auto group = std::make_shared<Group>();
+  // Claims items until none are left. `fn` is only touched for a claimed
+  // item, and the caller outlives every claimed item, so a late helper
+  // never sees a dangling `fn`.
+  auto drain = [n, &fn](Group& g) {
+    for (size_t i; (i = g.next.fetch_add(1)) < n;) {
+      fn(i);
+      if (g.done.fetch_add(1) + 1 == n) {
+        std::lock_guard<std::mutex> lock(g.mu);
+        g.cv.notify_all();
+      }
+    }
+  };
+  const size_t helpers = std::min(n - 1, pool->num_threads());
+  for (size_t h = 0; h < helpers; ++h) {
+    if (!pool->TrySubmit([group, drain] { drain(*group); })) break;
+  }
+  drain(*group);
+  std::unique_lock<std::mutex> lock(group->mu);
+  group->cv.wait(lock, [&] { return group->done.load() == n; });
 }
 
 }  // namespace surf

@@ -33,6 +33,7 @@
 #include "util/cancel.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace surf {
 namespace {
@@ -118,9 +119,10 @@ struct Worker {
   std::unique_ptr<HttpServer> server;
 };
 
-/// A fleet of `n` workers over one dataset, plus the coordinator pool.
+/// A fleet of `n` workers over one dataset, plus the coordinator pool
+/// and the thread pool its scatters overlap on.
 struct Fleet {
-  Fleet(const Dataset& data, size_t n) {
+  Fleet(const Dataset& data, size_t n) : scatter(n) {
     for (size_t i = 0; i < n; ++i) {
       workers.push_back(std::make_unique<Worker>(data));
     }
@@ -133,6 +135,7 @@ struct Fleet {
 
   std::vector<std::unique_ptr<Worker>> workers;
   std::unique_ptr<dist::WorkerPool> pool;
+  ThreadPool scatter;
 };
 
 /// The single-node reference: the exact evaluator MakeEvaluator builds
@@ -148,8 +151,7 @@ ShardedScanEvaluator SingleNodeReference(const Dataset& data,
   if (stat.needs_value_column()) {
     options.columns.push_back(static_cast<size_t>(stat.value_col));
   }
-  return ShardedScanEvaluator(ShardedDataset::Partition(data, options), stat,
-                              /*num_threads=*/1);
+  return ShardedScanEvaluator(ShardedDataset::Partition(data, options), stat);
 }
 
 // ----------------------------------------------------------- bit identity
@@ -169,7 +171,8 @@ TEST(ClusterEvaluatorTest, MatchesSingleNodeBitIdenticallyAcrossFleetSizes) {
       options.dataset = "trips";
       options.fingerprint = fingerprint;
       options.num_shards = num_shards;
-      dist::ClusterEvaluator cluster(fleet.pool.get(), stat, options);
+      dist::ClusterEvaluator cluster(fleet.pool.get(), stat, options,
+                                     &fleet.scatter);
       const ShardedScanEvaluator reference =
           SingleNodeReference(data, stat, num_shards);
 
@@ -200,7 +203,8 @@ TEST(ClusterEvaluatorTest, DefaultShardCountIsOneSlabPerWorker) {
   dist::ClusterEvaluator::Options options;
   options.dataset = "trips";
   options.num_shards = 0;  // default: one shard per worker
-  dist::ClusterEvaluator cluster(fleet.pool.get(), stat, options);
+  dist::ClusterEvaluator cluster(fleet.pool.get(), stat, options,
+                                 &fleet.scatter);
   EXPECT_EQ(cluster.num_shards(), 3u);
 
   const std::vector<Region> queries = RandomQueries(6, d, 6);
@@ -256,7 +260,7 @@ TEST(ShardEvaluateEndpointTest, NaturalOrderPartitionMatchesSingleNode) {
     options.order_by = -1;
     options.columns = request.columns;
     const ShardedScanEvaluator reference(
-        ShardedDataset::Partition(data, options), stat, /*num_threads=*/1);
+        ShardedDataset::Partition(data, options), stat);
     const std::vector<double> expected =
         reference.EvaluateBatch(queries, CancelToken());
 
@@ -283,7 +287,8 @@ TEST(ClusterEvaluatorTest, ReHomesShardGroupsWhenAWorkerDies) {
   dist::ClusterEvaluator::Options options;
   options.dataset = "trips";
   options.num_shards = 4;
-  dist::ClusterEvaluator cluster(fleet.pool.get(), stat, options);
+  dist::ClusterEvaluator cluster(fleet.pool.get(), stat, options,
+                                 &fleet.scatter);
   const std::vector<Region> queries = RandomQueries(8, d, 34);
   const ShardedScanEvaluator reference = SingleNodeReference(data, stat, 4);
   const std::vector<double> expected =
@@ -319,7 +324,8 @@ TEST(ClusterEvaluatorTest, FingerprintMismatchYieldsNaNWithoutRetryStorm) {
   dist::ClusterEvaluator::Options options;
   options.dataset = "trips";
   options.fingerprint = 0x1234;  // wrong on purpose
-  dist::ClusterEvaluator cluster(fleet.pool.get(), stat, options);
+  dist::ClusterEvaluator cluster(fleet.pool.get(), stat, options,
+                                 &fleet.scatter);
 
   const std::vector<Region> queries = RandomQueries(3, d, 45);
   const std::vector<double> labels =
@@ -339,7 +345,8 @@ TEST(ClusterEvaluatorTest, MidScatterCancellationReleasesWorkers) {
   dist::ClusterEvaluator::Options options;
   options.dataset = "trips";
   options.num_shards = 4;
-  dist::ClusterEvaluator cluster(fleet.pool.get(), stat, options);
+  dist::ClusterEvaluator cluster(fleet.pool.get(), stat, options,
+                                 &fleet.scatter);
   const std::vector<Region> queries = RandomQueries(8, d, 56);
 
   // Stall every group's RPC long enough for the deadline to fire while

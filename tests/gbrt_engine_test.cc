@@ -24,6 +24,7 @@
 #include "opt/naive_search.h"
 #include "opt/objective.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace surf {
 namespace {
@@ -224,6 +225,12 @@ TEST(TreeTest, SubtractionAndDirectSplitsAgree) {
 
 // ------------------------------------------------- thread-count determinism
 
+/// Sweep label of a borrowed pool ("serial" without one).
+std::string PoolLabel(const ThreadPool* pool) {
+  return pool == nullptr ? "serial"
+                         : std::to_string(pool->num_threads()) + "t";
+}
+
 TEST(GbrtEngineTest, BitIdenticalAcrossThreadCountsAndBackends) {
   FeatureMatrix x;
   std::vector<double> y;
@@ -239,19 +246,23 @@ TEST(GbrtEngineTest, BitIdenticalAcrossThreadCountsAndBackends) {
   // baseline.
   std::vector<std::vector<double>> outputs;
   std::vector<std::string> labels;
+  ThreadPool pool1(1);
+  ThreadPool pool2(2);
+  ThreadPool pool8(8);
   for (const AccelBackend backend : SupportedBackends()) {
     ScopedAccelEnv accel(backend);
-    for (const size_t threads : {1u, 2u, 8u}) {
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool1,
+                             &pool2, &pool8}) {
       GbrtParams params;
       params.n_estimators = 30;
       params.max_depth = 6;
-      params.num_threads = threads;
       params.seed = 7;
       GradientBoostedTrees model(params);
+      model.SetThreadPool(pool);
       ASSERT_TRUE(model.Fit(x, y).ok());
       outputs.push_back(model.PredictBatch(x));
       labels.push_back(std::string(AccelBackendName(backend)) + "/" +
-                       std::to_string(threads) + "t");
+                       PoolLabel(pool));
     }
   }
   for (size_t t = 1; t < outputs.size(); ++t) {
@@ -274,21 +285,22 @@ TEST(GbrtEngineTest, SubsampledTrainingDeterministicAcrossThreads) {
   MakeProblem(24000, 3, 47, &x, &y);
   std::vector<std::vector<double>> outputs;
   std::vector<std::string> labels;
+  ThreadPool pool8(8);
   for (const AccelBackend backend : SupportedBackends()) {
     ScopedAccelEnv accel(backend);
-    for (const size_t threads : {1u, 8u}) {
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool8}) {
       GbrtParams params;
       params.n_estimators = 25;
       params.subsample = 0.8;
       params.colsample = 0.7;
       params.early_stopping_rounds = 10;
       params.validation_fraction = 0.2;
-      params.num_threads = threads;
       GradientBoostedTrees model(params);
+      model.SetThreadPool(pool);
       ASSERT_TRUE(model.Fit(x, y).ok());
       outputs.push_back(model.PredictBatch(x));
       labels.push_back(std::string(AccelBackendName(backend)) + "/" +
-                       std::to_string(threads) + "t");
+                       PoolLabel(pool));
     }
   }
   for (size_t t = 1; t < outputs.size(); ++t) {

@@ -1,6 +1,6 @@
 // Tests for the optimization module: the Eq. 2/4 objectives, the region
 // solution space, GSO (multimodal capture, invalid-particle isolation,
-// KDE guidance), PSO, the Naive baseline, and distinct-region extraction.
+// KDE guidance), the Naive baseline, and distinct-region extraction.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "opt/gso.h"
 #include "opt/naive_search.h"
 #include "opt/objective.h"
-#include "opt/pso.h"
 #include "opt/solution_space.h"
 #include "opt/test_functions.h"
 
@@ -445,46 +444,6 @@ TEST(GsoTest, RescoresOnlyParticlesThatMoved) {
     EXPECT_EQ(result.fitness[i], fresh.value);
     EXPECT_EQ(result.statistic[i], statistic(result.particles[i]));
   }
-}
-
-// ---------------------------------------------------------------- PSO
-
-TEST(PsoTest, FindsSingleOptimum) {
-  GaussianBumps bumps;
-  bumps.peaks = {{0.3, 0.2}};
-  bumps.sigma = 0.15;
-  bumps.validity_floor = -1.0;
-  PsoParams params;
-  params.num_particles = 40;
-  params.max_iterations = 80;
-  const ParticleSwarmOptimizer pso(params);
-  const PsoResult result = pso.Optimize(bumps.AsFitnessFn(), UnitSpace(1));
-  ASSERT_TRUE(result.found_valid);
-  EXPECT_LT(bumps.DistanceToNearestPeak(result.best), 0.05);
-}
-
-TEST(PsoTest, CollapsesToOneModeOnMultimodal) {
-  // The motivating contrast with GSO: PSO returns exactly one region.
-  const GaussianBumps bumps = ThreeBumps1d();
-  PsoParams params;
-  params.num_particles = 60;
-  params.max_iterations = 100;
-  const ParticleSwarmOptimizer pso(params);
-  const PsoResult result = pso.Optimize(bumps.AsFitnessFn(), UnitSpace(1));
-  ASSERT_TRUE(result.found_valid);
-  EXPECT_LT(bumps.DistanceToNearestPeak(result.best), 0.1);
-}
-
-TEST(PsoTest, RastriginNearGlobal) {
-  PsoParams params;
-  params.num_particles = 80;
-  params.max_iterations = 200;
-  params.seed = 12;
-  const ParticleSwarmOptimizer pso(params);
-  const FitnessFn fn = InvertedRastrigin({0.5, 0.2}, 0.3);
-  const PsoResult result = pso.Optimize(fn, UnitSpace(1));
-  ASSERT_TRUE(result.found_valid);
-  EXPECT_GT(result.best_fitness, -5.0);  // global max is 0
 }
 
 // ---------------------------------------------------------- Naive search

@@ -23,6 +23,7 @@
 #include "stats/sharded_evaluator.h"
 #include "util/rng.h"
 #include "util/summary.h"
+#include "util/thread_pool.h"
 
 namespace surf {
 namespace {
@@ -283,12 +284,13 @@ TEST_P(QuantileSketchLawsTest, ShardedMedianWorkloadIsSeedStable) {
   // draw is seeded.
   const uint64_t seed = static_cast<uint64_t>(GetParam());
   const Dataset ds = RandomDataset(8000, 2, seed + 1200);
+  ThreadPool pool(2);
   auto label = [&] {
     ShardingOptions options;
     options.num_shards = 8;
     options.order_by = 0;
     ShardedScanEvaluator sharded(ShardedDataset::Partition(ds, options),
-                                 Statistic::MedianOf({0, 1}, 2), 2);
+                                 Statistic::MedianOf({0, 1}, 2), &pool);
     WorkloadParams params;
     params.num_queries = 300;
     params.seed = seed;

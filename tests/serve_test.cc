@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -97,7 +98,8 @@ TEST(FingerprintTest, KeyComponentsAreIndependent) {
 
   // Runtime-only knobs do not move the key.
   SurrogateTrainOptions options3 = options;
-  options3.gbrt.num_threads = 8;
+  options3.gbrt.use_sibling_subtraction =
+      !options3.gbrt.use_sibling_subtraction;
   EXPECT_EQ(base, MakeSurrogateKey(ds.data, Statistic::Count({0, 1}),
                                    workload, options3));
 }
@@ -120,6 +122,34 @@ class ServiceTest : public ::testing::Test {
   SyntheticDataset data_;
   std::optional<MiningService> service_;
 };
+
+#ifdef __linux__
+/// Threads of this process right now (the entries of /proc/self/task).
+size_t ProcessThreadCount() {
+  size_t count = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+TEST_F(ServiceTest, CachedShardedEntriesHoldNoThreads) {
+  // Sharded labelling borrows the service pool, so cached `shards = 4`
+  // entries keep no threads of their own parked for their lifetime.
+  const size_t before = ProcessThreadCount();
+  for (uint64_t i = 0; i < 4; ++i) {
+    MineRequest request = SmallRequest("d", 500.0);
+    request.shards = 4;
+    request.workload.seed += i;  // a distinct cache key per request
+    const MineResponse response = service().Mine(request);
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_FALSE(response.cache_hit);
+  }
+  EXPECT_EQ(service().cache().size(), 4u);
+  EXPECT_LE(ProcessThreadCount(), before);
+}
+#endif
 
 TEST_F(ServiceTest, CacheHitAndMissKeying) {
   MineRequest request = SmallRequest("d", 500.0);

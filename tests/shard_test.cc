@@ -22,6 +22,7 @@
 #include "stats/sharded_evaluator.h"
 #include "util/cancel.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace surf {
 namespace {
@@ -151,8 +152,7 @@ TEST(ShardedDatasetTest, EmptyAndSingleRowShards) {
   // And the evaluator over single-row/empty shards still answers
   // exactly.
   ScanEvaluator scan(&ds, Statistic::Count({0}));
-  ShardedScanEvaluator sharded_eval(std::move(sharded), Statistic::Count({0}),
-                                    1);
+  ShardedScanEvaluator sharded_eval(std::move(sharded), Statistic::Count({0}));
   Rng rng(5);
   for (int q = 0; q < 20; ++q) {
     const Region region = RandomRegion(1, &rng);
@@ -248,8 +248,9 @@ TEST_P(ShardBitIdentityTest, MatchesScanBitwiseOnIntegerData) {
       ShardingOptions options;
       options.num_shards = shards;
       options.order_by = order_by;
+      ThreadPool pool(2);
       ShardedScanEvaluator sharded(ShardedDataset::Partition(ds, options),
-                                   stat, 2);
+                                   stat, &pool);
       Rng rng(static_cast<uint64_t>(seed) * 31 + 7);
       for (int q = 0; q < 40; ++q) {
         const Region region = RandomRegion(d, &rng);
@@ -284,7 +285,7 @@ TEST(ShardedEvaluatorTest, OneShardNaturalOrderBitIdenticalOnRealData) {
     const Statistic stat = MakeStatistic(kind, d);
     ScanEvaluator reference(&ds, stat);
     ShardedScanEvaluator sharded(
-        ShardedDataset::Partition(ds, ShardingOptions{}), stat, 1);
+        ShardedDataset::Partition(ds, ShardingOptions{}), stat);
     Rng rng(9);
     for (int q = 0; q < 40; ++q) {
       const Region region = RandomRegion(d, &rng);
@@ -305,8 +306,9 @@ TEST(ShardedEvaluatorTest, ManyShardsRealDataAgreeToRounding) {
     ShardingOptions options;
     options.num_shards = 8;
     options.order_by = 0;
+    ThreadPool pool(2);
     ShardedScanEvaluator sharded(ShardedDataset::Partition(ds, options),
-                                 stat, 2);
+                                 stat, &pool);
     Rng rng(10);
     for (int q = 0; q < 40; ++q) {
       const Region region = RandomRegion(d, &rng);
@@ -323,17 +325,20 @@ TEST(ShardedEvaluatorTest, ManyShardsRealDataAgreeToRounding) {
 
 TEST(ShardedEvaluatorTest, MergeOrderDeterminismAcrossThreadCounts) {
   // The per-shard partials merge in ascending shard index no matter
-  // which worker finishes first: 1, 2, and 8 threads must produce
-  // bit-identical results — floating-point data, median included. The
-  // whole sweep repeats under every supported SURF_ACCEL backend (the
-  // mask kernels feeding the scan are specified bit-identical), and the
-  // single-thread result under each backend must also match the generic
-  // baseline bitwise.
+  // which thread finishes first: inline evaluation and borrowed pools of
+  // 1, 2, and 8 threads must produce bit-identical results —
+  // floating-point data, median included. The whole sweep repeats under
+  // every supported SURF_ACCEL backend (the mask kernels feeding the
+  // scan are specified bit-identical), and the single-thread result
+  // under each backend must also match the generic baseline bitwise.
   const size_t d = 2;
   const Dataset ds = MakeData(4000, d, 44, false);
   ShardingOptions options;
   options.num_shards = 8;
   options.order_by = 0;
+  ThreadPool pool1(1);
+  ThreadPool pool2(2);
+  ThreadPool pool8(8);
   const AccelBackend saved = ActiveAccelBackend();
   for (int backend = 0; backend < kNumAccelBackends; ++backend) {
     const AccelBackend b = static_cast<AccelBackend>(backend);
@@ -343,12 +348,15 @@ TEST(ShardedEvaluatorTest, MergeOrderDeterminismAcrossThreadCounts) {
     ASSERT_EQ(ActiveAccelBackend(), b);
     for (int kind : {0, 1, 2, 3, 4, 5}) {
       const Statistic stat = MakeStatistic(kind, d);
+      ShardedScanEvaluator inline_eval(ShardedDataset::Partition(ds, options),
+                                       stat);
       ShardedScanEvaluator one(ShardedDataset::Partition(ds, options), stat,
-                               1);
+                               &pool1);
       ShardedScanEvaluator two(ShardedDataset::Partition(ds, options), stat,
-                               2);
+                               &pool2);
       ShardedScanEvaluator eight(ShardedDataset::Partition(ds, options), stat,
-                                 8);
+                                 &pool8);
+      EXPECT_EQ(inline_eval.num_threads(), 1u);
       EXPECT_EQ(one.num_threads(), 1u);
       EXPECT_EQ(two.num_threads(), 2u);
       EXPECT_EQ(eight.num_threads(), 8u);
@@ -356,10 +364,12 @@ TEST(ShardedEvaluatorTest, MergeOrderDeterminismAcrossThreadCounts) {
       for (int q = 0; q < 30; ++q) {
         const Region region = RandomRegion(d, &rng);
         const double a = one.Evaluate(region);
+        const double serial = inline_eval.Evaluate(region);
         const double b2 = two.Evaluate(region);
         const double c = eight.Evaluate(region);
         const std::string label =
             std::string(AccelBackendName(b)) + " kind " + std::to_string(kind);
+        ExpectSameDouble(a, serial, (label + ": 1 thread vs inline").c_str());
         ExpectSameDouble(a, b2, (label + ": 1 vs 2 threads").c_str());
         ExpectSameDouble(a, c, (label + ": 1 vs 8 threads").c_str());
         // Cross-backend: generic runs first, so compare against it.
@@ -378,8 +388,9 @@ TEST(ShardedEvaluatorTest, CountsOneEvaluationPerQueryNotPerShard) {
   const Dataset ds = MakeData(100, 1, 45, true);
   ShardingOptions options;
   options.num_shards = 8;
+  ThreadPool pool(2);
   ShardedScanEvaluator sharded(ShardedDataset::Partition(ds, options),
-                               Statistic::Count({0}), 2);
+                               Statistic::Count({0}), &pool);
   Rng rng(12);
   sharded.Evaluate(RandomRegion(1, &rng));
   sharded.Evaluate(RandomRegion(1, &rng));
@@ -420,8 +431,9 @@ TEST(ShardedEvaluatorTest, NanRowsMatchLegacyScanSemantics) {
       ShardingOptions options;
       options.num_shards = shards;
       options.order_by = 0;  // NaNs sort into the trailing shard
+      ThreadPool pool(2);
       ShardedScanEvaluator sharded(ShardedDataset::Partition(ds, options),
-                                   stat, 2);
+                                   stat, &pool);
       Rng query_rng(51);
       for (int q = 0; q < 30; ++q) {
         const Region region = RandomRegion(d, &query_rng);
@@ -439,7 +451,7 @@ TEST(ShardedEvaluatorTest, FiredTokenSkipsEveryShardBatch) {
   ShardingOptions options;
   options.num_shards = 16;
   ShardedScanEvaluator sharded(ShardedDataset::Partition(ds, options),
-                               Statistic::Count({0, 1}), 1);
+                               Statistic::Count({0, 1}));
   CancelSource source;
   source.Cancel();
   Rng rng(13);
@@ -461,7 +473,7 @@ TEST(ShardedEvaluatorTest, CancellationLandsMidShardScan) {
   options.order_by = 0;
   options.columns = {0, 1};
   ShardedScanEvaluator sharded(ShardedDataset::Partition(ds, options),
-                               Statistic::Count({0, 1}), 1);
+                               Statistic::Count({0, 1}));
   WorkloadParams params;
   params.num_queries = 200000;
   params.seed = 3;

@@ -5,9 +5,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <functional>
+#include <future>
+#include <latch>
+#include <memory>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "util/cancel.h"
@@ -386,31 +392,116 @@ TEST(CliTest, DefaultsWhenAbsent) {
 
 // ------------------------------------------------------------ ThreadPool
 
+constexpr std::chrono::seconds kDeadlockTimeout{20};
+
+/// Runs `body` on a thread of its own and reports whether it finished
+/// within `timeout`, so a deadlock fails the test instead of hanging the
+/// suite. On timeout the thread is detached and left blocked, so
+/// whatever `body` touches must outlive the test (callers leak it).
+bool FinishesWithin(std::chrono::seconds timeout,
+                    std::function<void()> body) {
+  auto finished = std::make_shared<std::promise<void>>();
+  std::future<void> done = finished->get_future();
+  std::thread([body = std::move(body), finished] {
+    body();
+    finished->set_value();
+  }).detach();
+  return done.wait_for(timeout) == std::future_status::ready;
+}
+
 TEST(ThreadPoolTest, ExecutesAllTasks) {
-  ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      pool.Submit([&counter] { counter.fetch_add(1); });
+    }
+  }  // the destructor runs every queued task before joining
   EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversRange) {
   ThreadPool pool(3);
   std::vector<int> hits(50, 0);
-  ParallelFor(&pool, hits.size(), [&](size_t i) { hits[i] = 1; });
+  ParallelFor(&pool, hits.size(), [&](size_t i) { hits[i] += 1; });
   for (int h : hits) EXPECT_EQ(h, 1);
+  // The pool is reusable: a second group sees none of the first.
+  ParallelFor(&pool, hits.size(), [&](size_t i) { hits[i] += 1; });
+  for (int h : hits) EXPECT_EQ(h, 2);
 }
 
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&] { counter.fetch_add(1); });
-  pool.Wait();
-  pool.Submit([&] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
+TEST(ThreadPoolTest, ParallelForWithoutPoolRunsInOrder) {
+  std::vector<size_t> order;
+  ParallelFor(nullptr, 5, [&](size_t i) { order.push_back(i); });
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+}
+
+/// A ParallelFor inside a ParallelFor body on the same pool covers every
+/// (outer, inner) index exactly once and does not deadlock.
+void ExpectNestedParallelForCovers(size_t threads) {
+  constexpr size_t kOuter = 8;
+  constexpr size_t kInner = 64;
+  auto* pool = new ThreadPool(threads);  // leaked if the calls hang
+  auto* hits = new std::vector<std::atomic<int>>(kOuter * kInner);
+  const bool finished = FinishesWithin(kDeadlockTimeout, [pool, hits] {
+    ParallelFor(pool, kOuter, [pool, hits](size_t i) {
+      ParallelFor(pool, kInner, [hits, i](size_t j) {
+        (*hits)[i * kInner + j].fetch_add(1);
+      });
+    });
+  });
+  ASSERT_TRUE(finished) << "nested ParallelFor on a " << threads
+                        << "-thread pool did not return";
+  for (size_t k = 0; k < hits->size(); ++k) {
+    EXPECT_EQ((*hits)[k].load(), 1) << "index " << k;
+  }
+  delete pool;
+  delete hits;
+}
+
+TEST(ThreadPoolTest, NestedParallelForOnOneThreadPool) {
+  ExpectNestedParallelForCovers(1);
+}
+
+TEST(ThreadPoolTest, NestedParallelForOnTwoThreadPool) {
+  ExpectNestedParallelForCovers(2);
+}
+
+TEST(ThreadPoolTest, ParallelForDoesNotWaitForUnrelatedTasks) {
+  // Every worker blocks on a latch; the ParallelFor's caller must run
+  // the whole range itself and return while they are still blocked.
+  auto* pool = new ThreadPool(2);  // leaked if the call hangs
+  auto gate = std::make_shared<std::latch>(1);
+  for (size_t t = 0; t < pool->num_threads(); ++t) {
+    pool->Submit([gate] { gate->wait(); });
+  }
+  auto* hits = new std::vector<int>(100, 0);
+  const bool finished = FinishesWithin(kDeadlockTimeout, [pool, hits] {
+    ParallelFor(pool, hits->size(), [hits](size_t i) { (*hits)[i] += 1; });
+  });
+  gate->count_down();
+  ASSERT_TRUE(finished) << "ParallelFor waited for unrelated tasks";
+  for (int h : *hits) EXPECT_EQ(h, 1);
+  delete pool;
+  delete hits;
+}
+
+TEST(ThreadPoolTest, ParallelForDuringShutdownRunsEveryItem) {
+  // A task drained by the destructor may still call ParallelFor on the
+  // pool; the pool takes no more helpers then, so the caller runs every
+  // item.
+  auto* hits = new std::vector<int>(50, 0);  // leaked if the drain hangs
+  const bool finished = FinishesWithin(kDeadlockTimeout, [hits] {
+    ThreadPool pool(1);
+    pool.Submit([&pool, hits] {
+      // Give the destructor below time to begin.
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      ParallelFor(&pool, hits->size(), [hits](size_t i) { (*hits)[i] += 1; });
+    });
+  });
+  ASSERT_TRUE(finished) << "shutdown drain did not finish";
+  for (int h : *hits) EXPECT_EQ(h, 1);
+  delete hits;
 }
 
 TEST(ThreadPoolTest, DefaultThreadCountPositive) {

@@ -50,6 +50,7 @@
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -248,7 +249,7 @@ void PrintFindResult(const FindResult& result) {
   std::printf("%s", table.ToString().c_str());
 }
 
-int RunMine(const CliFlags& flags, const Dataset& data) {
+int RunMine(const CliFlags& flags, const Dataset& data, ThreadPool* pool) {
   if (!flags.Has("threshold")) return Fail("--threshold is required");
   const double threshold = flags.GetDouble("threshold", 0.0);
   const ThresholdDirection direction =
@@ -283,7 +284,7 @@ int RunMine(const CliFlags& flags, const Dataset& data) {
   } else {
     auto statistic = ParseStatistic(flags, data);
     if (!statistic.ok()) return Fail(statistic.status().ToString());
-    auto surf = Surf::Build(&data, *statistic, ParseOptions(flags));
+    auto surf = Surf::Build(&data, *statistic, ParseOptions(flags), pool);
     if (!surf.ok()) return Fail(surf.status().ToString());
     std::printf(
         "surrogate: test RMSE %s (%zu training evaluations, "
@@ -303,13 +304,13 @@ int RunMine(const CliFlags& flags, const Dataset& data) {
   return 0;
 }
 
-int RunEcdf(const CliFlags& flags, const Dataset& data) {
+int RunEcdf(const CliFlags& flags, const Dataset& data, ThreadPool* pool) {
   auto statistic = ParseStatistic(flags, data);
   if (!statistic.ok()) return Fail(statistic.status().ToString());
   SurfOptions options = ParseOptions(flags);
   options.workload.num_queries = 2000;  // light: ECDF only
   options.fit_kde = false;
-  auto surf = Surf::Build(&data, *statistic, options);
+  auto surf = Surf::Build(&data, *statistic, options, pool);
   if (!surf.ok()) return Fail(surf.status().ToString());
   const Ecdf ecdf = surf->SampleStatisticEcdf(
       static_cast<size_t>(flags.GetInt("samples", 4000)), 7);
@@ -321,12 +322,12 @@ int RunEcdf(const CliFlags& flags, const Dataset& data) {
   return 0;
 }
 
-int RunTrain(const CliFlags& flags, const Dataset& data) {
+int RunTrain(const CliFlags& flags, const Dataset& data, ThreadPool* pool) {
   auto statistic = ParseStatistic(flags, data);
   if (!statistic.ok()) return Fail(statistic.status().ToString());
   const std::string model_path = flags.GetString("model", "");
   if (model_path.empty()) return Fail("--model output path is required");
-  auto surf = Surf::Build(&data, *statistic, ParseOptions(flags));
+  auto surf = Surf::Build(&data, *statistic, ParseOptions(flags), pool);
   if (!surf.ok()) return Fail(surf.status().ToString());
   if (auto st = surf->surrogate().Save(model_path); !st.ok()) {
     return Fail(st.ToString());
@@ -669,9 +670,12 @@ int main(int argc, char** argv) {
     if (!data.ok()) return Fail(data.status().ToString());
     std::printf("loaded %zu rows x %zu columns from %s\n",
                 data->num_rows(), data->num_cols(), data_path.c_str());
-    if (command == "mine") return RunMine(flags, *data);
-    if (command == "ecdf") return RunEcdf(flags, *data);
-    return RunTrain(flags, *data);
+    // The one pool of these commands: training and sharded labelling
+    // borrow it.
+    ThreadPool pool(ThreadPool::DefaultThreadCount());
+    if (command == "mine") return RunMine(flags, *data, &pool);
+    if (command == "ecdf") return RunEcdf(flags, *data, &pool);
+    return RunTrain(flags, *data, &pool);
   }
 
   PrintUsage();
