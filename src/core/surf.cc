@@ -136,7 +136,8 @@ StatusOr<Surf> Surf::Build(const Dataset* data, Statistic statistic,
 
   const Bounds domain = data->ComputeBounds(statistic.region_cols);
   const RegionWorkload workload =
-      GenerateWorkload(*surf.evaluator_, domain, options.workload);
+      GenerateWorkload(*surf.evaluator_, domain, options.workload,
+                       CancelToken(), /*trace=*/nullptr, pool);
   if (workload.size() == 0) {
     return Status::FailedPrecondition(
         "workload generation produced no defined statistics");

@@ -69,8 +69,9 @@ class Surf {
   /// Builds the pipeline: labels `options.workload.num_queries` random
   /// regions with the true statistic, trains the surrogate, and fits the
   /// KDE prior. `data` must outlive the returned object. A non-null
-  /// `pool` is borrowed by training and, with `options.shards` >= 2, by
-  /// the exact evaluator, so it must outlive the returned object too.
+  /// `pool` is borrowed by labelling, training and, with
+  /// `options.shards` >= 2, by the exact evaluator, so it must outlive
+  /// the returned object too.
   static StatusOr<Surf> Build(const Dataset* data, Statistic statistic,
                               const SurfOptions& options,
                               ThreadPool* pool = nullptr);

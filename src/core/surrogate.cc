@@ -74,7 +74,15 @@ StatusOr<Surrogate> Surrogate::Train(const RegionWorkload& workload,
   metrics.hypertuned = hypertuned;
   metrics.chosen_params = params;
   metrics.num_train_examples = split.train.size();
-  metrics.train_rmse = Rmse(model->PredictBatch(train_x), train_y);
+  // The fit's last learning-curve point is the RMSE of the final
+  // ensemble over every training row, in row order, from the predictions
+  // the fit accumulated tree by tree: the same sums PredictBatch would
+  // redo. Early stopping trims trees and holds rows out of the curve, so
+  // it predicts again.
+  metrics.train_rmse =
+      params.early_stopping_rounds == 0 && !model->train_curve().empty()
+          ? model->train_curve().back()
+          : Rmse(model->PredictBatch(train_x), train_y);
   {
     FeatureMatrix test_x;
     std::vector<double> test_y;

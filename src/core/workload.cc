@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "stats/sharded_evaluator.h"
+#include "util/thread_pool.h"
 
 namespace surf {
 
@@ -22,7 +23,8 @@ std::vector<double> RegionFeatures(const Region& region) {
 RegionWorkload GenerateWorkload(const RegionEvaluator& evaluator,
                                 const Bounds& domain,
                                 const WorkloadParams& params,
-                                CancelToken cancel, TraceContext* trace) {
+                                CancelToken cancel, TraceContext* trace,
+                                ThreadPool* pool) {
   assert(params.min_length_frac > 0.0 &&
          params.min_length_frac < params.max_length_frac);
   const size_t d = domain.dims();
@@ -37,30 +39,6 @@ RegionWorkload GenerateWorkload(const RegionEvaluator& evaluator,
   workload.targets.reserve(params.num_queries);
 
   TraceSpan gen_span(trace, "workload_gen", TraceStage::kWorkloadGen);
-  // Labelling children: one span per 256-query batch (aligned with the
-  // cancellation poll below) rather than per query, so the trace stays
-  // bounded. On the sharded backend each batch span also carries the
-  // evaluator's prune/block/scan counter deltas for that batch.
-  const ShardedScanEvaluator* sharded =
-      trace == nullptr
-          ? nullptr
-          : dynamic_cast<const ShardedScanEvaluator*>(&evaluator);
-  int32_t batch = -1;
-  uint64_t pruned0 = 0, merged0 = 0, scanned0 = 0;
-  auto close_batch = [&] {
-    if (batch < 0) return;
-    if (sharded != nullptr) {
-      trace->AddAttr(batch, "shards_pruned",
-                     std::to_string(sharded->shards_pruned() - pruned0));
-      trace->AddAttr(
-          batch, "shards_block_merged",
-          std::to_string(sharded->shards_block_merged() - merged0));
-      trace->AddAttr(batch, "shards_scanned",
-                     std::to_string(sharded->shards_scanned() - scanned0));
-    }
-    trace->EndSpan(batch);
-    batch = -1;
-  };
 
   // Draw every region up front. The RNG sequence is label-independent
   // (center then half per dimension, exactly as the historical
@@ -79,39 +57,59 @@ RegionWorkload GenerateWorkload(const RegionEvaluator& evaluator,
     regions.emplace_back(center, half);
   }
 
-  // Label in 256-query batches through EvaluateBatch — the seam that
-  // lets the distributed backend ship one RPC per batch instead of one
-  // per region; the default implementation loops Evaluate, so in-process
-  // backends label the same regions in the same order as ever. The token
-  // is polled per batch here and rides into the evaluator too (sharded
-  // scans poll it per shard, so cancellation lands mid-evaluation on
-  // huge datasets instead of waiting for the batch boundary).
+  // On the sharded backend the workload_gen span carries the evaluator's
+  // prune/block/scan counter totals for this labelling (per-chunk deltas
+  // would overlap once chunks run concurrently).
+  const ShardedScanEvaluator* sharded =
+      trace == nullptr
+          ? nullptr
+          : dynamic_cast<const ShardedScanEvaluator*>(&evaluator);
+  const uint64_t pruned0 = sharded ? sharded->shards_pruned() : 0;
+  const uint64_t merged0 = sharded ? sharded->shards_block_merged() : 0;
+  const uint64_t scanned0 = sharded ? sharded->shards_scanned() : 0;
+
+  // Label in 256-query chunks through EvaluateBatch — the seam that lets
+  // the distributed backend ship one RPC per chunk instead of one per
+  // region. Chunks run as one ParallelFor on the borrowed pool, each
+  // writing only its own label slot, so the labels are the same for any
+  // pool. The token is polled per chunk here and rides into the
+  // evaluator too (sharded scans poll it per shard, so cancellation
+  // lands mid-evaluation on huge datasets instead of at a chunk edge).
+  // Each chunk records one label_batch span under workload_gen.
   constexpr size_t kLabelBatch = 256;
-  for (size_t start = 0; start < regions.size(); start += kLabelBatch) {
-    if (cancel.cancelled()) break;
-    const size_t count = std::min(kLabelBatch, regions.size() - start);
-    if (trace != nullptr) {
-      close_batch();
-      batch = trace->BeginSpan("label_batch", TraceStage::kLabelling);
-      if (sharded != nullptr) {
-        pruned0 = sharded->shards_pruned();
-        merged0 = sharded->shards_block_merged();
-        scanned0 = sharded->shards_scanned();
-      }
+  const size_t num_chunks = (regions.size() + kLabelBatch - 1) / kLabelBatch;
+  auto chunk_size = [&](size_t c) {
+    return std::min(kLabelBatch, regions.size() - c * kLabelBatch);
+  };
+  std::vector<std::vector<double>> labels(num_chunks);
+  ParallelFor(pool, num_chunks, [&](size_t c) {
+    if (cancel.cancelled()) return;
+    TraceSpan span(trace, "label_batch", TraceStage::kLabelling,
+                   gen_span.index());
+    const auto first = regions.begin() + c * kLabelBatch;
+    labels[c] = evaluator.EvaluateBatch(
+        std::vector<Region>(first, first + chunk_size(c)), cancel);
+  });
+
+  // Rows join in chunk order, undefined labels dropped in place. A short
+  // chunk is the cancellation signature: its returned labels are
+  // complete (and kept), and no later chunk joins, so a cancelled
+  // workload is always a prefix of the uncancelled one.
+  for (size_t c = 0; c < num_chunks; ++c) {
+    for (size_t k = 0; k < labels[c].size(); ++k) {
+      if (params.drop_undefined && std::isnan(labels[c][k])) continue;
+      workload.features.AddRow(
+          RegionFeatures(regions[c * kLabelBatch + k]));
+      workload.targets.push_back(labels[c][k]);
     }
-    const std::vector<Region> chunk(regions.begin() + start,
-                                    regions.begin() + start + count);
-    const std::vector<double> labels = evaluator.EvaluateBatch(chunk, cancel);
-    for (size_t k = 0; k < labels.size(); ++k) {
-      if (params.drop_undefined && std::isnan(labels[k])) continue;
-      workload.features.AddRow(RegionFeatures(chunk[k]));
-      workload.targets.push_back(labels[k]);
-    }
-    // A short batch is the cancellation signature: every returned label
-    // is complete (and kept), the rest were never computed.
-    if (labels.size() < count) break;
+    if (labels[c].size() < chunk_size(c)) break;
   }
-  close_batch();
+  if (sharded != nullptr) {
+    gen_span.Attr("shards_pruned", sharded->shards_pruned() - pruned0);
+    gen_span.Attr("shards_block_merged",
+                  sharded->shards_block_merged() - merged0);
+    gen_span.Attr("shards_scanned", sharded->shards_scanned() - scanned0);
+  }
   gen_span.Attr("labelled", static_cast<uint64_t>(workload.size()));
   return workload;
 }

@@ -11,6 +11,7 @@
 #include "opt/solution_space.h"
 #include "stats/evaluator.h"
 #include "util/cancel.h"
+#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace surf {
@@ -60,16 +61,20 @@ std::vector<double> RegionFeatures(const Region& region);
 /// domain and labels each with the true statistic. This simulates the
 /// "past queries issued by analysts/applications" SuRF learns from.
 /// `cancel` is polled periodically during labelling; a fired token stops
-/// the draw early and returns the (incomplete) workload so far — callers
-/// that care check the token afterwards. A non-null `trace` records a
-/// workload_gen span with per-batch labelling children (and, on the
-/// sharded backend, per-batch prune/block/scan counter attributes);
-/// tracing never changes the generated workload.
+/// the draw early and returns the (incomplete) workload so far, always a
+/// prefix of the uncancelled one — callers that care check the token
+/// afterwards. A non-null `trace` records a workload_gen span with one
+/// label_batch child per 256-query chunk (and, on the sharded backend,
+/// prune/block/scan counter totals as workload_gen attributes). A
+/// non-null `pool` labels the chunks concurrently, so the evaluator must
+/// be safe to call from several threads; neither the pool nor tracing
+/// ever changes the generated workload.
 RegionWorkload GenerateWorkload(const RegionEvaluator& evaluator,
                                 const Bounds& domain,
                                 const WorkloadParams& params,
                                 CancelToken cancel = {},
-                                TraceContext* trace = nullptr);
+                                TraceContext* trace = nullptr,
+                                ThreadPool* pool = nullptr);
 
 /// Persists a workload as CSV (columns x1..xd, l1..ld, y) so real past
 /// query logs can be replayed into surrogate training. The solution-space

@@ -187,8 +187,7 @@ Status GradientBoostedTrees::Fit(const FeatureMatrix& x,
     }
 
     RegressionTree tree;
-    tree.Fit(binned, binner, grad, kUnitHess, &tree_rows, tree_params, &rng,
-             pool_);
+    tree.Fit(binned, binner, grad, kUnitHess, &tree_rows, tree_params, &rng);
     ApplyTreeToPredictions(tree, tree_rows, cols, params_.learning_rate,
                            x.num_rows(), &covered, &pred);
     trees_.push_back(std::move(tree));
@@ -258,8 +257,7 @@ Status GradientBoostedTrees::ContinueFit(const FeatureMatrix& x,
     for (size_t r = 0; r < x.num_rows(); ++r) grad[r] = pred[r] - y[r];
     std::iota(rows.begin(), rows.end(), 0);
     RegressionTree tree;
-    tree.Fit(binned, binner, grad, kUnitHess, &rows, tree_params, &rng,
-             pool_);
+    tree.Fit(binned, binner, grad, kUnitHess, &rows, tree_params, &rng);
     ApplyTreeToPredictions(tree, rows, cols, params_.learning_rate,
                            x.num_rows(), &covered, &pred);
     trees_.push_back(std::move(tree));

@@ -8,6 +8,7 @@
 #include "ml/tree.h"
 #include "util/cancel.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace surf {
@@ -103,10 +104,9 @@ class GradientBoostedTrees : public Regressor {
   /// ensemble); reset it (nullptr) before reusing the model object.
   void SetTrace(TraceContext* trace) { trace_ = trace; }
 
-  /// Borrows `pool` (null = serial, the default) for per-feature
-  /// histogram building in Fit/ContinueFit and for the blocks of large
-  /// PredictBatch calls. Runtime-only like the cancel token: work is
-  /// partitioned per feature / per row block with a fixed reduction
+  /// Borrows `pool` (null = serial, the default) for the row blocks of
+  /// large PredictBatch calls; Fit and ContinueFit stay serial. Runtime-
+  /// only like the cancel token: each block sums its trees in a fixed
   /// order, so results are bit-identical for any pool, and the pool must
   /// outlive every call made while it is attached.
   void SetThreadPool(ThreadPool* pool) { pool_ = pool; }

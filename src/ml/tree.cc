@@ -26,11 +26,6 @@ inline double NodeScore(double g, double h, double lambda) {
   return (g * g) / (h + lambda);
 }
 
-/// Nodes with fewer rows than this build their histograms serially — per
-/// task the accumulation must outweigh the submit/wake cost, so only
-/// large (shallow) nodes fan out per feature.
-constexpr size_t kMinParallelHistRows = 1u << 14;
-
 constexpr size_t kMaxSerializedNodes = 1u << 26;
 constexpr size_t kMaxSerializedFeature = 1u << 20;
 
@@ -48,7 +43,6 @@ struct RegressionTree::TrainState {
   uint32_t* rows = nullptr;
   const TreeParams* params = nullptr;
   std::vector<uint32_t> features;  // selected, ascending
-  ThreadPool* pool = nullptr;
   uint32_t total_bins = 0;
   bool unit_hess = false;
 
@@ -148,9 +142,8 @@ struct RegressionTree::TrainState {
     hist.in_use = false;
   }
 
-  /// Accumulates the histogram for rows [begin, end). Each feature is
-  /// filled by exactly one task in row order, so the result is
-  /// bit-identical regardless of thread count.
+  /// Accumulates the histogram for rows [begin, end), each feature in
+  /// row order.
   void BuildHistogram(int id, size_t begin, size_t end) {
     Histogram& hist = hists[static_cast<size_t>(id)];
     const size_t n = end - begin;
@@ -202,11 +195,10 @@ struct RegressionTree::TrainState {
       }
     };
 
-    // Serial unit-hessian builds process feature pairs per row pass so
-    // the row-id load amortizes over two histograms (the parallel path
-    // keeps one feature per task — same per-feature accumulation order,
-    // bit-identical result). The accel histogram kernel shares that
-    // exact per-feature order, so the two paths stay interchangeable.
+    // Unit-hessian builds process feature pairs per row pass so the
+    // row-id load amortizes over two histograms. The accel histogram
+    // kernel keeps the same per-feature accumulation order, so the two
+    // paths give bit-identical histograms.
     auto build_feature_pair = [&](size_t fa, size_t fb) {
       const uint32_t f0 = features[fa];
       const uint32_t f1 = features[fb];
@@ -234,16 +226,11 @@ struct RegressionTree::TrainState {
       }
     };
 
-    if (pool != nullptr && features.size() > 1 &&
-        n >= kMinParallelHistRows) {
-      ParallelFor(pool, features.size(), build_feature);
-    } else {
-      size_t fi = 0;
-      for (; fi + 1 < features.size(); fi += 2) {
-        build_feature_pair(fi, fi + 1);
-      }
-      if (fi < features.size()) build_feature(fi);
+    size_t fi = 0;
+    for (; fi + 1 < features.size(); fi += 2) {
+      build_feature_pair(fi, fi + 1);
     }
+    if (fi < features.size()) build_feature(fi);
     RebuildMask(&hist);
   }
 
@@ -274,8 +261,7 @@ void RegressionTree::Fit(const BinnedMatrix& binned,
                          const std::vector<double>& grad,
                          const std::vector<double>& hess,
                          std::vector<uint32_t>* rows,
-                         const TreeParams& params, Rng* rng,
-                         ThreadPool* pool) {
+                         const TreeParams& params, Rng* rng) {
   nodes_.clear();
   values_.clear();
   leaf_ranges_.clear();
@@ -290,7 +276,6 @@ void RegressionTree::Fit(const BinnedMatrix& binned,
   st.hess = st.unit_hess ? nullptr : hess.data();
   st.rows = rows->data();
   st.params = &params;
-  st.pool = pool;
   st.total_bins = binned.total_bins();
   if (st.unit_hess) {
     st.recip.resize(rows->size() + 1);

@@ -9,7 +9,6 @@
 #include "ml/matrix.h"
 #include "util/rng.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace surf {
 
@@ -57,14 +56,10 @@ class RegressionTree {
   /// Fits the tree on `*rows` (indices into the binned matrix), which is
   /// partitioned in place so that on return each leaf owns a contiguous
   /// span of it (see leaf_ranges()). An empty `hess` means unit hessians
-  /// (squared loss), enabling the count-only histogram fast path. When
-  /// `pool` is non-null, per-feature histograms build in parallel; results
-  /// are bit-identical for any thread count (each feature is accumulated
-  /// by exactly one task, in row order).
+  /// (squared loss), enabling the count-only histogram fast path.
   void Fit(const BinnedMatrix& binned, const FeatureBinner& binner,
            const std::vector<double>& grad, const std::vector<double>& hess,
-           std::vector<uint32_t>* rows, const TreeParams& params, Rng* rng,
-           ThreadPool* pool = nullptr);
+           std::vector<uint32_t>* rows, const TreeParams& params, Rng* rng);
 
   /// Leaf value for one raw feature vector.
   double Predict(const std::vector<double>& x) const;

@@ -22,7 +22,12 @@ void DropThreadPriority() {
 #endif
 }
 
+/// Set once per worker thread, before its first job.
+thread_local std::optional<JobClass> tls_job_class;
+
 }  // namespace
+
+std::optional<JobClass> CurrentJobClass() { return tls_job_class; }
 
 PriorityScheduler::PriorityScheduler(Options options) : options_(options) {
   options_.interactive_workers = std::max<size_t>(1, options_.interactive_workers);
@@ -104,6 +109,7 @@ bool PriorityScheduler::Submit(Job job) {
 }
 
 void PriorityScheduler::WorkerLoop(JobClass cls) {
+  tls_job_class = cls;
   if (cls == JobClass::kBatch && options_.nice_batch_workers) {
     DropThreadPriority();
   }

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -40,6 +41,12 @@ enum class JobClass {
   kInteractive = 0,  ///< Latency-sensitive; dedicated full-priority workers.
   kBatch = 1,        ///< Throughput work; capped, niced workers; shed first.
 };
+
+/// The class of the PriorityScheduler worker running on the calling
+/// thread, or nullopt on any other thread (library callers, pool
+/// workers). Lets a job's own fan-out respect its class: a batch job
+/// runs niced and must not spread onto full-priority threads.
+std::optional<JobClass> CurrentJobClass();
 
 /// \brief One schedulable unit of work.
 struct Job {

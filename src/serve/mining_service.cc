@@ -8,6 +8,7 @@
 #include "dist/cluster_evaluator.h"
 #include "dist/worker_pool.h"
 #include "ml/grid_search.h"
+#include "sched/priority_scheduler.h"
 #include "util/failpoint.h"
 #include "util/retry.h"
 #include "util/stopwatch.h"
@@ -136,11 +137,19 @@ StatusOr<TrainedSurrogate> MiningService::TrainEntry(
     TraceContext* trace) {
   SURF_FAILPOINT("serve.train");
   const Dataset* data = named.data.get();
+  // A batch-class miss runs on a niced scheduler worker; its CPU work
+  // must not spread onto the full-priority pool threads, or it would
+  // compete with interactive requests. Interactive misses and callers
+  // off the scheduler (library callers, async jobs) borrow the pool.
+  ThreadPool* const pool =
+      sched::CurrentJobClass() == sched::JobClass::kBatch ? nullptr : &pool_;
   std::shared_ptr<const RegionEvaluator> evaluator;
   if (request.cluster) {
     // Cluster mode swaps only the exact back-end: labelling and
     // validation scatter to the remote workers, everything downstream
     // (training, cache, search) is byte-for-byte the in-process path.
+    // The scatter keeps the service pool for any class: its helpers
+    // wait on worker sockets, they do not compute.
     if (cluster_pool_ == nullptr) {
       return Status::FailedPrecondition(
           "cluster execution requested but no workers configured");
@@ -154,23 +163,29 @@ StatusOr<TrainedSurrogate> MiningService::TrainEntry(
         &pool_);
   } else {
     evaluator = MakeEvaluator(request.backend, data, request.statistic,
-                              request.shards, &pool_);
+                              request.shards, pool);
   }
+  // In-process labelling runs its chunks on the pool. Cluster labelling
+  // stays one chunk at a time: each chunk is already a scatter over the
+  // whole fleet, and overlapping scatters would only put more RPCs in
+  // flight on the workers, each one a chance of a shard retry.
   const Bounds domain = named.DomainBounds(request.statistic.region_cols);
   const RegionWorkload workload =
-      GenerateWorkload(*evaluator, domain, request.workload, cancel, trace);
+      GenerateWorkload(*evaluator, domain, request.workload, cancel, trace,
+                       request.cluster ? nullptr : pool);
   if (cancel.cancelled()) return cancel.ToStatus();
   if (workload.size() == 0) {
     return Status::FailedPrecondition(
         "workload generation produced no defined statistics");
   }
 
-  // Training stays serial (no pool): handing it pool_ is safe, since
-  // ParallelFor nests, but it is a separate throughput change.
+  // A fit itself is serial (each boosting round needs the one before,
+  // and splitting one tree's histograms measured slower than the serial
+  // loop); the pool serves hypertuning's grid and large predictions.
   // Surrogate::Train records its own kTraining stage span, so the
   // service adds none here (nesting two would double-count the stage).
   auto surrogate =
-      Surrogate::Train(workload, request.surrogate, nullptr, cancel, trace);
+      Surrogate::Train(workload, request.surrogate, pool, cancel, trace);
   if (!surrogate.ok()) return surrogate.status();
 
   TrainedSurrogate trained;

@@ -137,8 +137,10 @@ class MiningService {
   /// \brief Service configuration.
   struct Options {
     /// Threads of the service pool (0 = hardware concurrency): it runs
-    /// submitted jobs and MineBatch, and is borrowed by the sharded and
-    /// cluster exact evaluators a training builds.
+    /// submitted jobs and MineBatch, and a miss borrows it for its
+    /// labelling chunks, its sharded scans and its cluster scatter
+    /// (a miss on a batch-class scheduler worker borrows it only for
+    /// the scatter).
     size_t num_threads = 0;
     /// Surrogate-cache sizing/eviction/warm-start policy.
     SurrogateCache::Options cache;
@@ -244,6 +246,10 @@ class MiningService {
   const SurrogateCache& cache() const { return cache_; }
   /// Worker-thread count of the service pool.
   size_t num_threads() const { return pool_.num_threads(); }
+
+  /// Tasks submitted to the service pool so far (async jobs and the
+  /// helpers of every fan-out the service lends the pool to).
+  uint64_t pool_tasks_submitted() const { return pool_.tasks_submitted(); }
   /// Completed traces of recent traced requests (backs `/v1/trace/{id}`).
   const TraceRing& traces() const { return traces_; }
 

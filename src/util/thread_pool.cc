@@ -35,6 +35,7 @@ bool ThreadPool::TrySubmit(std::function<void()> task) {
     if (shutdown_) return false;
     queue_.push(std::move(task));
   }
+  ++submitted_;
   cv_task_.notify_one();
   return true;
 }

@@ -1,8 +1,10 @@
 #ifndef SURF_UTIL_THREAD_POOL_H_
 #define SURF_UTIL_THREAD_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -36,6 +38,9 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
+  /// Tasks accepted so far: Submit calls plus ParallelFor helpers.
+  uint64_t tasks_submitted() const { return submitted_.load(); }
+
   /// Hardware concurrency with a floor of 1.
   static size_t DefaultThreadCount();
 
@@ -52,6 +57,7 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable cv_task_;
   bool shutdown_ = false;
+  std::atomic<uint64_t> submitted_{0};
 };
 
 /// Runs `fn(i)` for every i in [0, n) and returns when those n calls have

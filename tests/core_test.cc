@@ -3,15 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 
 #include "core/surf.h"
 #include "core/topk.h"
 #include "data/synthetic.h"
+#include "ml/cv.h"
 #include "ml/knn.h"
 #include "ml/linear.h"
+#include "ml/metrics.h"
+#include "util/thread_pool.h"
 
 namespace surf {
 namespace {
@@ -88,6 +93,133 @@ TEST(WorkloadTest, DropsUndefinedAverages) {
   for (double t : workload.targets) EXPECT_FALSE(std::isnan(t));
 }
 
+// Byte-for-byte equality of two workloads' rows and targets.
+void ExpectSameWorkload(const RegionWorkload& a, const RegionWorkload& b) {
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_EQ(a.targets.size(), b.targets.size());
+  EXPECT_EQ(0, std::memcmp(a.targets.data(), b.targets.data(),
+                           a.targets.size() * sizeof(double)));
+  for (size_t i = 0; i < a.size(); ++i) {
+    const std::vector<double> ra = a.features.Row(i);
+    const std::vector<double> rb = b.features.Row(i);
+    ASSERT_EQ(ra.size(), rb.size());
+    ASSERT_EQ(0, std::memcmp(ra.data(), rb.data(), ra.size() * sizeof(double)))
+        << "row " << i;
+  }
+}
+
+// Points only in the lower-left corner of the unit square, so a
+// workload drawn over the whole square leaves many regions empty and an
+// Average over them undefined.
+Dataset CornerData(size_t rows, uint64_t seed) {
+  Dataset data({"x", "y", "v"});
+  Rng rng(seed);
+  data.Reserve(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    data.AddRow({rng.Uniform(0.0, 0.4), rng.Uniform(0.0, 0.4),
+                 rng.Gaussian(3.0, 1.0)});
+  }
+  return data;
+}
+
+// Chunks labelled concurrently join in chunk order, so every pool size
+// reproduces the serial workload on every backend, NaN drops included.
+TEST(WorkloadTest, PoolSizesGiveIdenticalWorkloads) {
+  const Dataset data = CornerData(3000, 17);
+  WorkloadParams params;
+  params.num_queries = 1000;  // three full chunks and a short one
+  params.seed = 23;
+  struct Backend {
+    BackendKind kind;
+    size_t shards;
+  };
+  const Backend backends[] = {{BackendKind::kScan, 1},
+                              {BackendKind::kGridIndex, 1},
+                              {BackendKind::kKdTree, 1},
+                              {BackendKind::kRTree, 1},
+                              {BackendKind::kScan, 4}};
+  for (const Statistic& stat :
+       {Statistic::Count({0, 1}), Statistic::Average({0, 1}, 2)}) {
+    for (const Backend& backend : backends) {
+      SCOPED_TRACE(std::to_string(static_cast<int>(backend.kind)) + "/" +
+                   std::to_string(backend.shards) + "/" +
+                   std::to_string(static_cast<int>(stat.kind)));
+      const auto serial_eval =
+          MakeEvaluator(backend.kind, &data, stat, backend.shards);
+      const RegionWorkload serial = GenerateWorkload(
+          *serial_eval, Bounds::Unit(2), params, CancelToken(), nullptr);
+      if (stat.kind == StatisticKind::kAverage) {
+        EXPECT_LT(serial.size(), params.num_queries);  // NaNs were dropped
+        EXPECT_GT(serial.size(), 0u);
+      } else {
+        EXPECT_EQ(serial.size(), params.num_queries);
+      }
+      for (size_t threads : {1u, 2u, 8u}) {
+        ThreadPool pool(threads);
+        const auto eval =
+            MakeEvaluator(backend.kind, &data, stat, backend.shards, &pool);
+        const RegionWorkload pooled = GenerateWorkload(
+            *eval, Bounds::Unit(2), params, CancelToken(), nullptr, &pool);
+        ExpectSameWorkload(serial, pooled);
+        EXPECT_EQ(eval->evaluation_count(), params.num_queries);
+      }
+    }
+  }
+}
+
+// Fires a cancel source from inside its `at`-th evaluation.
+class CancellingEvaluator : public RegionEvaluator {
+ public:
+  CancellingEvaluator(const RegionEvaluator* inner, CancelSource* source,
+                      uint64_t at)
+      : inner_(inner), source_(source), at_(at) {}
+  const Statistic& statistic() const override { return inner_->statistic(); }
+
+ protected:
+  double EvaluateImpl(const Region& region,
+                      const CancelToken& cancel) const override {
+    if (calls_.fetch_add(1) + 1 == at_) source_->Cancel();
+    return inner_->Evaluate(region, cancel);
+  }
+
+ private:
+  const RegionEvaluator* inner_;
+  CancelSource* source_;
+  uint64_t at_;
+  mutable std::atomic<uint64_t> calls_{0};
+};
+
+// A cancellation while chunks run concurrently still leaves a prefix of
+// the uncancelled workload: no row of a later chunk joins after a short
+// one.
+TEST(WorkloadTest, CancelledPooledLabellingKeepsAPrefix) {
+  const Dataset data = CornerData(3000, 19);
+  const Statistic stat = Statistic::Average({0, 1}, 2);
+  ScanEvaluator scan(&data, stat);
+  WorkloadParams params;
+  params.num_queries = 2000;
+  const RegionWorkload full = GenerateWorkload(scan, Bounds::Unit(2), params);
+  ASSERT_GT(full.size(), 0u);
+  for (size_t threads : {0u, 1u, 4u}) {
+    SCOPED_TRACE(threads);
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+    CancelSource source;
+    CancellingEvaluator eval(&scan, &source, 700);
+    const RegionWorkload cut = GenerateWorkload(
+        eval, Bounds::Unit(2), params, source.token(), nullptr, pool.get());
+    EXPECT_TRUE(source.token().cancelled());
+    ASSERT_LT(cut.size(), full.size());
+    if (threads == 0) {
+      EXPECT_GT(cut.size(), 0u);  // two full chunks and more
+    }
+    for (size_t i = 0; i < cut.size(); ++i) {
+      ASSERT_EQ(cut.targets[i], full.targets[i]) << "row " << i;
+      ASSERT_EQ(cut.features.Row(i), full.features.Row(i)) << "row " << i;
+    }
+  }
+}
+
 TEST(WorkloadTest, RegionFeaturesEncoding) {
   const Region r({0.3, 0.6}, {0.1, 0.2});
   const auto feats = RegionFeatures(r);
@@ -122,6 +254,50 @@ TEST_F(SurrogateTest, TrainsAndTracksError) {
   EXPECT_GT(surrogate->metrics().test_rmse, 0.0);
   // A count surrogate over ~10k points should be well under 100 RMSE.
   EXPECT_LT(surrogate->metrics().test_rmse, 120.0);
+}
+
+// Surrogate::Train takes train_rmse from the fit's learning curve; it
+// must equal predicting the training fold again, bit for bit.
+double RepredictedTrainRmse(const Surrogate& surrogate,
+                            const RegionWorkload& workload,
+                            const SurrogateTrainOptions& options) {
+  Rng rng(options.seed);
+  const Fold split = TrainTestSplit(workload.size(), options.test_fraction,
+                                    &rng);
+  const FeatureMatrix train_x = workload.features.Gather(split.train);
+  std::vector<double> train_y;
+  for (size_t r : split.train) train_y.push_back(workload.targets[r]);
+  return Rmse(surrogate.model().PredictBatch(train_x), train_y);
+}
+
+TEST_F(SurrogateTest, TrainRmseEqualsRepredictedTrainingFold) {
+  for (double subsample : {1.0, 0.8}) {
+    SCOPED_TRACE(subsample);
+    SurrogateTrainOptions options;
+    options.gbrt.subsample = subsample;
+    auto surrogate = Surrogate::Train(workload_, options);
+    ASSERT_TRUE(surrogate.ok());
+    const double expected =
+        RepredictedTrainRmse(*surrogate, workload_, options);
+    const double got = surrogate->metrics().train_rmse;
+    EXPECT_EQ(0, std::memcmp(&got, &expected, sizeof(double)))
+        << got << " vs " << expected;
+  }
+}
+
+// With early stopping the curve covers only the rows left after the
+// validation holdout, and trees past the best round are trimmed, so
+// train_rmse falls back to predicting the training fold.
+TEST_F(SurrogateTest, TrainRmseWithEarlyStoppingRepredicts) {
+  SurrogateTrainOptions options;
+  options.gbrt.early_stopping_rounds = 5;
+  options.gbrt.validation_fraction = 0.2;
+  auto surrogate = Surrogate::Train(workload_, options);
+  ASSERT_TRUE(surrogate.ok());
+  const double expected = RepredictedTrainRmse(*surrogate, workload_, options);
+  const double got = surrogate->metrics().train_rmse;
+  EXPECT_EQ(0, std::memcmp(&got, &expected, sizeof(double)))
+      << got << " vs " << expected;
 }
 
 TEST_F(SurrogateTest, PredictionsTrackTruth) {

@@ -234,10 +234,9 @@ std::string PoolLabel(const ThreadPool* pool) {
 TEST(GbrtEngineTest, BitIdenticalAcrossThreadCountsAndBackends) {
   FeatureMatrix x;
   std::vector<double> y;
-  // Large enough that both the parallel histogram path (≥ 16384 rows per
-  // node, see kMinParallelHistRows) and the parallel prediction path
-  // (≥ 8192 rows) actually engage — smaller problems would compare the
-  // serial path against itself.
+  // Large enough that the parallel prediction path (≥ 8192 rows)
+  // actually engages, and that fitting with a pool attached covers
+  // nodes of more than 16384 rows.
   MakeProblem(20000, 5, 46, &x, &y);
 
   // Thread-count determinism must hold under every accel backend, and —
@@ -280,8 +279,8 @@ TEST(GbrtEngineTest, BitIdenticalAcrossThreadCountsAndBackends) {
 TEST(GbrtEngineTest, SubsampledTrainingDeterministicAcrossThreads) {
   FeatureMatrix x;
   std::vector<double> y;
-  // Above the parallel-histogram row threshold even after the 80% row
-  // subsample, so the threaded build really runs.
+  // More than 16384 rows even after the 80% row subsample: a fit with a
+  // pool attached must match the serial fit on large nodes too.
   MakeProblem(24000, 3, 47, &x, &y);
   std::vector<std::vector<double>> outputs;
   std::vector<std::string> labels;

@@ -149,7 +149,9 @@ TEST(BinningTest, BinsAreMonotone) {
   for (int i = 0; i <= 100; ++i) {
     const double v = -3.0 + 0.06 * i;
     const uint16_t b = binner.BinIndex(0, v);
-    if (v > prev) EXPECT_GE(b, prev_bin);
+    if (v > prev) {
+      EXPECT_GE(b, prev_bin);
+    }
     prev = v;
     prev_bin = b;
   }

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -317,6 +318,22 @@ TEST(PrioritySchedulerTest, ShutdownDrainsQueuedJobs) {
   const PriorityScheduler::Stats stats = scheduler.stats();
   EXPECT_EQ(stats.executed_interactive + stats.executed_batch, 50u);
   EXPECT_EQ(stats.queued, 0u);
+}
+
+TEST(PrioritySchedulerTest, JobsSeeTheirWorkersClass) {
+  PriorityScheduler::Options options;
+  options.nice_batch_workers = false;
+  PriorityScheduler scheduler(options);
+  std::optional<JobClass> seen[2];
+  for (JobClass cls : {JobClass::kInteractive, JobClass::kBatch}) {
+    scheduler.Submit(MakeJob(cls, Clock::now(), [&seen, cls] {
+      seen[static_cast<int>(cls)] = CurrentJobClass();
+    }));
+  }
+  scheduler.Shutdown();
+  EXPECT_EQ(seen[0], JobClass::kInteractive);
+  EXPECT_EQ(seen[1], JobClass::kBatch);
+  EXPECT_FALSE(CurrentJobClass().has_value());  // not a scheduler worker
 }
 
 // ---------------------------------------------------------------------------

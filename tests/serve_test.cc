@@ -8,15 +8,19 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <future>
 #include <optional>
 #include <thread>
 #include <vector>
 
 #include "data/synthetic.h"
+#include "net/json_codec.h"
+#include "sched/priority_scheduler.h"
 #include "serve/fingerprint.h"
 #include "serve/mining_service.h"
 #include "serve/surrogate_cache.h"
 #include "util/failpoint.h"
+#include "util/json.h"
 
 namespace surf {
 namespace {
@@ -633,6 +637,88 @@ TEST(StaleServeTest, DisablingStaleWhileRevalidateSurfacesTheError) {
   // Without SWR the old model was evicted outright; the failed retrain
   // surfaces as an error, exactly the pre-degradation behaviour.
   EXPECT_EQ(service.Mine(request).status.code(), StatusCode::kInternal);
+}
+
+// ------------------------------------------------------------ Cold miss
+
+/// The regions of a threshold response as the wire writes them (%.17g
+/// doubles), plus the model's holdout error.
+std::string AnswerText(const MineResponse& response) {
+  const JsonValue json =
+      MineResponseToJson(response, MineRequest::Mode::kThreshold);
+  return WriteJson(*json.Find("result")->Find("regions")) + " holdout " +
+         WriteJson(JsonValue(response.provenance.holdout_rmse));
+}
+
+TEST(ColdMissTest, AnswersAreIdenticalAcrossPoolSizesAndRuns) {
+  // A cold miss labels its chunks concurrently on the service pool. The
+  // answer must depend neither on the pool's size nor on how the chunks
+  // interleave, run after run.
+  const SyntheticDataset ds = DensityData(2, 2, 44);
+  MineRequest request = SmallRequest("d", 500.0);
+  request.workload.num_queries = 3000;  // twelve label chunks
+  request.finder.use_kde_guidance = false;  // keeps the search short
+  std::string expected;
+  for (size_t threads : {1u, 2u, 4u}) {
+    for (int run = 0; run < 20; ++run) {
+      MiningService::Options options;
+      options.num_threads = threads;
+      MiningService service(options);
+      ASSERT_TRUE(service.RegisterDataset("d", ds.data).ok());
+      const MineResponse response = service.Mine(request);
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      ASSERT_FALSE(response.cache_hit);
+      if (expected.empty()) {
+        ASSERT_FALSE(response.result.regions.empty());
+        expected = AnswerText(response);
+      }
+      EXPECT_EQ(AnswerText(response), expected)
+          << threads << " threads, run " << run;
+    }
+  }
+}
+
+TEST(ColdMissTest, OnlyInteractiveMissesBorrowThePool) {
+  // A batch-class miss runs on a niced scheduler worker and must keep
+  // its work there: it submits nothing to the (un-niced) service pool.
+  // An interactive miss fans its labelling out on the pool. Either way
+  // the answer is the same.
+  const SyntheticDataset ds = DensityData(2, 1);
+  MiningService::Options options;
+  options.num_threads = 2;
+  MiningService service(options);
+  ASSERT_TRUE(service.RegisterDataset("d", ds.data).ok());
+  sched::PriorityScheduler::Options sched_options;
+  sched_options.nice_batch_workers = false;
+  sched::PriorityScheduler scheduler(sched_options);
+  auto mine_on = [&](sched::JobClass cls, const MineRequest& request) {
+    std::promise<MineResponse> done;
+    sched::Job job;
+    job.cls = cls;
+    job.run = [&] { done.set_value(service.Mine(request)); };
+    EXPECT_TRUE(scheduler.Submit(std::move(job)));
+    return done.get_future().get();
+  };
+
+  MineRequest request = SmallRequest("d", 500.0);
+  const uint64_t before = service.pool_tasks_submitted();
+  const MineResponse batch = mine_on(sched::JobClass::kBatch, request);
+  ASSERT_TRUE(batch.status.ok()) << batch.status.ToString();
+  ASSERT_FALSE(batch.cache_hit);
+  EXPECT_EQ(service.pool_tasks_submitted(), before);
+
+  request.workload.seed += 1;  // another recipe: a second miss
+  const MineResponse interactive =
+      mine_on(sched::JobClass::kInteractive, request);
+  ASSERT_TRUE(interactive.status.ok()) << interactive.status.ToString();
+  ASSERT_FALSE(interactive.cache_hit);
+  EXPECT_GT(service.pool_tasks_submitted(), before);
+
+  // The batch recipe mined interactively elsewhere gives the same answer.
+  MiningService other(options);
+  ASSERT_TRUE(other.RegisterDataset("d", ds.data).ok());
+  request.workload.seed -= 1;
+  EXPECT_EQ(AnswerText(other.Mine(request)), AnswerText(batch));
 }
 
 }  // namespace

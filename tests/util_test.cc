@@ -525,7 +525,7 @@ TEST(LoggingTest, LevelGate) {
 TEST(StopwatchTest, MeasuresElapsed) {
   Stopwatch sw;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += std::sqrt(double(i));
+  for (int i = 0; i < 100000; ++i) sink = sink + std::sqrt(double(i));
   EXPECT_GT(sw.ElapsedSeconds(), 0.0);
   EXPECT_GE(sw.ElapsedMillis(), sw.ElapsedSeconds() * 1000.0 * 0.99);
   sw.Reset();
